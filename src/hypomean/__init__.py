@@ -16,6 +16,7 @@ from .weights import (
 )
 from .matrices import (
     ExactMatrix,
+    FactoredSection,
     MatrixKind,
     b_entry,
     finite_section,

@@ -2,10 +2,11 @@
 
 Subcommands: dump (emit a finite section as JSON), certify (positivity of
 Q_N with exit code 0/1/2 for certified/not/inconclusive), symbolic (closed
-forms and the induction certificate), and paper-check (the full built-in
-regression bundle over the flagship weight families).  Usage errors exit
-with 64.  JSON reports are deterministic: rationals are 'p/q' strings and
-timings never enter the payload.
+forms and the induction certificate; exit 2 when the certificate does not
+hold), and paper-check (the full built-in regression bundle over the
+flagship weight families).  Usage errors exit with 64.  JSON reports are
+deterministic: rationals are 'p/q' strings and timings never enter the
+payload.
 """
 
 from __future__ import annotations
@@ -172,6 +173,7 @@ def _cmd_certify(cfg: RunConfig) -> int:
 def _cmd_symbolic(cfg: RunConfig) -> int:
     weights = parse_weight_spec(cfg.weights_spec)
     family = weights.spec_string()
+    code = EXIT_OK
     if cfg.emit == "qdiag":
         q = symbolic_q(weights)
         rep = degree_report(weights)
@@ -214,8 +216,10 @@ def _cmd_symbolic(cfg: RunConfig) -> int:
         if ratio is None:
             payload["reference_coefficients"] = [
                 str(c) for c in ODD_CERTIFICATE_REFERENCE]
+        if not (cert.nonneg_for_n_ge_1 and cert.base_holds):
+            code = EXIT_INCONCLUSIVE
     _emit_json(payload, cfg.output)
-    return EXIT_OK
+    return code
 
 
 # ----------------------------------------------------------------------

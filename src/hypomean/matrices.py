@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable
 
@@ -141,8 +142,19 @@ class MatrixKind(enum.Enum):
         raise ValueError(f"unknown matrix kind {text!r}")
 
 
+class _RowsText:
+    """Text forms shared by the section types; both read the dense entries."""
+
+    def to_string_rows(self) -> list[list[str]]:
+        return [[fraction_str(x) for x in row] for row in self.entries]
+
+    def __str__(self) -> str:
+        return "\n".join(
+            "  ".join(fraction_str(x) for x in row) for row in self.entries)
+
+
 @dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(_RowsText):
     """Dense matrix of Fractions; immutable once built.
 
     The symmetric flag is validated entrywise at construction, so carrying
@@ -179,25 +191,67 @@ class ExactMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
 
-    def to_string_rows(self) -> list[list[str]]:
-        return [[fraction_str(x) for x in row] for row in self.entries]
 
-    def __str__(self) -> str:
-        return "\n".join(
-            "  ".join(fraction_str(x) for x in row) for row in self.entries)
+@dataclass(frozen=True)
+class FactoredSection(_RowsText):
+    """Symmetric section stored as a diagonal plus its off-diagonal factors.
+
+    Entry (i, j) is diag[i] on the diagonal and row[max(i, j)] *
+    col[min(i, j)] off it: a diagonal plus a rank-one semiseparable matrix.
+    It takes O(N) values to hold; the dense (N+1) x (N+1) entries are built
+    only when first read, for the minor computations and for dumps.
+    """
+
+    diag: tuple[Fraction, ...]
+    row: tuple[Fraction, ...]
+    col: tuple[Fraction, ...]
+
+    # Exact by construction: an entry depends on its indices only through
+    # their max and min.
+    symmetric = True
+
+    def __post_init__(self):
+        if not (len(self.diag) == len(self.row) == len(self.col)):
+            raise ValueError("diagonal and factors must have equal lengths")
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.diag)
+
+    @property
+    def n_cols(self) -> int:
+        return len(self.diag)
+
+    def entry(self, i: int, j: int) -> Fraction:
+        if i == j:
+            return self.diag[i]
+        return self.row[max(i, j)] * self.col[min(i, j)]
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        size = range(self.n_rows)
+        return tuple(tuple(self.entry(i, j) for j in size) for i in size)
 
 
 def fraction_str(value: Fraction) -> str:
-    """Like format_rational, but tolerant of very large exact integers."""
+    """Like format_rational, but tolerant of very large exact integers.
+
+    Python 3.11+ limits int-to-str conversion to a number of digits; the
+    limit is raised for this one call and restored afterwards, since it is
+    process-wide state.
+    """
     try:
         return format_rational(value)
     except ValueError:
-        # int-to-str conversion limit (py >= 3.11); exact output is the point
-        if not hasattr(sys, "set_int_max_str_digits"):
+        if not hasattr(sys, "get_int_max_str_digits"):
             raise
-        needed = value.numerator.bit_length() + value.denominator.bit_length() + 16
-        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), needed))
+    limit = sys.get_int_max_str_digits()
+    needed = value.numerator.bit_length() + value.denominator.bit_length() + 16
+    sys.set_int_max_str_digits(max(limit, needed))
+    try:
         return format_rational(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 _ENTRY_FUNCS: dict[MatrixKind, Callable[[FactorableGenerators, int, int], Fraction]] = {
@@ -211,34 +265,40 @@ _ENTRY_FUNCS: dict[MatrixKind, Callable[[FactorableGenerators, int, int], Fracti
 _SYMMETRIC_KINDS = {MatrixKind.P_CLOSED, MatrixKind.P_ORACLE, MatrixKind.Q}
 
 
-def finite_section(g: FactorableGenerators, kind: MatrixKind, N: int) -> ExactMatrix:
+def require_weights(g: FactorableGenerators, kind: MatrixKind, N: int) -> None:
+    """Raise IndexError naming the weights the N-th section of `kind` reads
+    when the weight sequence (a finite table) is shorter than that."""
+    # Every kind but M reads w_{N+1}, through a_{N+1}, c_{N+1} or W_{N+1}.
+    top = N if kind is MatrixKind.M else N + 1
+    try:
+        g.partial_sum(top)
+    except IndexError as exc:
+        raise IndexError(
+            f"{kind.value}_{N} needs the weights w_0..w_{top}: {exc}") from None
+
+
+def finite_section(g: FactorableGenerators, kind: MatrixKind,
+                   N: int) -> ExactMatrix | FactoredSection:
     """The (N+1) x (N+1) top-left corner of the requested matrix.
 
-    Sections of P and Q carry the symmetric flag.  For Q and the closed
-    form of P the off-diagonal factors R and C are computed once per index
-    rather than once per entry; the values are identical to the per-entry
-    functions, which the test suite pins down.
+    Sections of Q and of the closed form of P come back factored, in O(N):
+    the diagonal plus the off-diagonal factors R_k and C_k (negated for P),
+    computed once per index.  Their values are identical to the per-entry
+    functions, which the test suite pins down.  The other kinds are dense;
+    sections of P and Q carry the symmetric flag.
     """
     if N < 0:
         raise ValueError("section size N must be nonnegative")
+    require_weights(g, kind, N)
     size = N + 1
     if kind in (MatrixKind.Q, MatrixKind.P_CLOSED):
-        rows_cols = [offdiag_factors(g, k) for k in range(size)]
-        R = [rc[0] for rc in rows_cols]
-        C = [rc[1] for rc in rows_cols]
-        diag = [p_entry_closed(g, k, k) for k in range(size)]
-        is_q = kind is MatrixKind.Q
-        entries = []
-        for i in range(size):
-            row = []
-            for j in range(size):
-                if i == j:
-                    row.append(_ONE - diag[i] if is_q else diag[i])
-                else:
-                    prod = R[max(i, j)] * C[min(i, j)]
-                    row.append(prod if is_q else -prod)
-            entries.append(tuple(row))
-        return ExactMatrix(tuple(entries), symmetric=True)
+        factors = [offdiag_factors(g, k) for k in range(size)]
+        row = tuple(r for r, _ in factors)
+        p_diag = [p_entry_closed(g, k, k) for k in range(size)]
+        if kind is MatrixKind.Q:
+            return FactoredSection(tuple(_ONE - p for p in p_diag), row,
+                                   tuple(c for _, c in factors))
+        return FactoredSection(tuple(p_diag), row, tuple(-c for _, c in factors))
     f = _ENTRY_FUNCS[kind]
     entries = tuple(
         tuple(f(g, i, j) for j in range(size)) for i in range(size))

@@ -21,7 +21,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .matrices import ExactMatrix, MatrixKind, finite_section, offdiag_factors, fraction_str
+from .matrices import (
+    ExactMatrix,
+    FactoredSection,
+    MatrixKind,
+    finite_section,
+    fraction_str,
+    offdiag_factors,
+    require_weights,
+)
 from .weights import (
     FactorableGenerators,
     HypothesisReport,
@@ -133,12 +141,8 @@ def elimination_multiplier(g: FactorableGenerators, n: int) -> Fraction:
     return cn / cn1
 
 
-def closed_multipliers_odd(N: int) -> list[Fraction]:
-    """z_n = (n+1)(n+3)/(n+2)^2 for the odd weights, n = 0..N-1."""
-    return [z_closed_odd(n) for n in range(N)]
-
-
 def z_closed_odd(n: int) -> Fraction:
+    """z_n = (n+1)(n+3)/(n+2)^2, the multipliers for the odd weights."""
     return Fraction((n + 1) * (n + 3), (n + 2) ** 2)
 
 
@@ -169,20 +173,75 @@ def delta_final_lower_bound_odd(N: int) -> Fraction:
     return Fraction(num, den)
 
 
-def tridiagonalize(Q: ExactMatrix, z: Sequence[Fraction]) -> TridiagonalForm:
-    """Column pass then row pass with the given multipliers.
+def tridiagonalize(Q: ExactMatrix | FactoredSection,
+                   z: Sequence[Fraction]) -> TridiagonalForm:
+    """Reduce Q to Y = Z^T Q Z with the given multipliers.
 
-    For n = 0..N-1, column n gets z_n times column n+1 subtracted; then the
-    same on the rows.  Each step only reads a column or row that has not
-    been modified yet, so the passes run in increasing order in place.  The
-    result is asserted to be exactly tridiagonal and symmetric; any nonzero
-    entry beyond the first off-diagonal raises StructureError.
+    Z subtracts z_n times column (row) n+1 from column (row) n, for
+    n = 0..N-1.  The result is asserted to be exactly tridiagonal and
+    symmetric; any nonzero entry beyond the first off-diagonal raises
+    StructureError at the first such entry in row-major order.  A
+    FactoredSection takes the O(N) route; a dense ExactMatrix is eliminated
+    entry by entry, which is the reference the O(N) route is tested
+    against.
     """
     if not Q.symmetric:
         raise ValueError("tridiagonalization expects a symmetric section")
     N = Q.n_rows - 1
     if len(z) != N:
         raise ValueError(f"need {N} multipliers, got {len(z)}")
+    if isinstance(Q, FactoredSection):
+        return _tridiagonalize_factored(Q, z)
+    return _tridiagonalize_dense(Q, z)
+
+
+def _tridiagonalize_factored(Q: FactoredSection,
+                             z: Sequence[Fraction]) -> TridiagonalForm:
+    """Y = Z^T Q Z in O(N) from the diagonal and the factors R, C of Q.
+
+    With u_i = R_i - z_i R_{i+1} (u_N = R_N) and v_j = C_j - z_j C_{j+1},
+    every entry of Y with i > j+1 is u_i v_j, and symmetrically above.
+    The band is
+
+        d_n = q_nn - 2 z_n q_{n+1,n} + z_n^2 q_{n+1,n+1}   (d_N = q_NN)
+        s_n = q_{n+1,n} - z_n q_{n+1,n+1} - z_{n+1} R_{n+2} v_n
+
+    and the last term of s_n is zero once the structure check has passed:
+    v_n != 0 then forces u_p = 0 for every p >= n+2, and going down from
+    u_N = R_N that makes R_N, ..., R_{n+2} all zero.
+    """
+    N = Q.n_rows - 1
+    q, R, C = Q.diag, Q.row, Q.col
+    u = [R[k] - z[k] * R[k + 1] for k in range(N)] + [R[N]]
+    v = [C[k] - z[k] * C[k + 1] for k in range(N)]
+    # A nonzero u_p v_q with p >= q+2 shows up at (q, p) above the diagonal,
+    # in row q, before it shows up at (p, q) in row p.  So the first
+    # offending entry in row-major order is (i, j) with i the least q that
+    # has v_q != 0 and some later nonzero u_p, and j the least such p.
+    last_u = next((p for p in range(N, 1, -1) if u[p]), None)
+    if last_u is not None:
+        for i in range(last_u - 1):
+            if v[i]:
+                j = next(p for p in range(i + 2, N + 1) if u[p])
+                raise StructureError(i, j, u[j] * v[i])
+    d, s = [], []
+    for n in range(N):
+        zn, q1 = z[n], q[n + 1]
+        low = R[n + 1] * C[n]
+        d.append(q[n] - 2 * zn * low + zn * zn * q1)
+        s.append(low - zn * q1)
+    d.append(q[N])
+    return TridiagonalForm(d=tuple(d), s=tuple(s))
+
+
+def _tridiagonalize_dense(Q: ExactMatrix,
+                          z: Sequence[Fraction]) -> TridiagonalForm:
+    """Column pass then row pass, in place, on the dense entries.
+
+    Each step only reads a column or row that has not been modified yet,
+    so the passes run in increasing order.
+    """
+    N = Q.n_rows - 1
     rows = [list(r) for r in Q.entries]
     for n in range(N):
         zn = z[n]
@@ -408,7 +467,12 @@ def certify(g: FactorableGenerators, N: int,
     family = g.spec_string()
 
     t0 = time.perf_counter()
-    hypothesis = check_hypotheses(g, max(N, 1))
+    try:
+        hypothesis = check_hypotheses(g, max(N, 1))
+    except IndexError:
+        # The prefix checked is within w_0..w_{N+1}; say what Q_N needs.
+        require_weights(g, MatrixKind.Q, N)
+        raise
     timings["hypotheses_s"] = time.perf_counter() - t0
 
     def build(verdict, det=None, min_delta=None, first_np=None, stopped=None,

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypomean import (
     ExactMatrix,
     FactorableGenerators,
+    FactoredSection,
     MatrixKind,
     TableWeights,
     b_entry,
@@ -119,6 +121,17 @@ class TestFiniteSections:
                 for j in range(9):
                     assert section.entry(i, j) == fn(cesaro_gens, i, j)
 
+    def test_q_and_p_sections_are_factored_with_lazy_entries(self, steep_gens):
+        for kind in (MatrixKind.Q, MatrixKind.P_CLOSED):
+            section = finite_section(steep_gens, kind, 6)
+            assert isinstance(section, FactoredSection)
+            assert (section.n_rows, section.n_cols) == (7, 7)
+            assert "entries" not in vars(section)
+            values = [[section.entry(i, j) for j in range(7)] for i in range(7)]
+            assert "entries" not in vars(section)
+            assert section.entries == tuple(map(tuple, values))
+            assert "entries" in vars(section)
+
     def test_rejects_negative_size(self, odd_gens):
         with pytest.raises(ValueError):
             finite_section(odd_gens, MatrixKind.Q, -1)
@@ -148,6 +161,15 @@ class TestExactMatrix:
         assert fraction_str(F(7, 72)) == "7/72"
         assert fraction_str(F(-11, 270)) == "-11/270"
         assert fraction_str(F(4)) == "4"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-str digit limit before Python 3.11")
+    def test_fraction_str_keeps_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        huge = F(10 ** 5000 + 1, 3)
+        text = fraction_str(huge)
+        assert sys.get_int_max_str_digits() == limit
+        assert text.endswith("/3") and len(text) == 5003
 
     def test_kind_from_string(self):
         assert MatrixKind.from_string("q") is MatrixKind.Q

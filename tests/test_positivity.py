@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypomean.positivity as positivity
 from hypomean import (
@@ -8,6 +10,8 @@ from hypomean import (
     DegenerateFactorError,
     DeltaSequence,
     FactorableGenerators,
+    FactoredSection,
+    LinearWeights,
     MatrixKind,
     StructureError,
     TableWeights,
@@ -30,6 +34,53 @@ from hypomean import (
 from hypomean.matrices import ExactMatrix
 
 F = Fraction
+
+# The conftest families, the constant weights linear:0,1 and two constant
+# tables (long enough for N <= 60).
+EQUIVALENCE_FAMILIES = tuple(FactorableGenerators(w) for w in (
+    LinearWeights(2, 1), LinearWeights(1, 1), LinearWeights(3, 1),
+    LinearWeights(0, 1), TableWeights((1,) * 62), TableWeights((F(5, 2),) * 62)))
+
+
+def _dense(section) -> ExactMatrix:
+    return ExactMatrix(section.entries, symmetric=True)
+
+
+def _tridiagonal_outcome(Q, z):
+    try:
+        return tridiagonalize(Q, z)
+    except StructureError as exc:
+        return ("StructureError", exc.position, exc.value)
+
+
+@st.composite
+def _sections_with_multipliers(draw):
+    g = draw(st.sampled_from(EQUIVALENCE_FAMILIES))
+    kind = draw(st.sampled_from((MatrixKind.Q, MatrixKind.P_CLOSED)))
+    N = draw(st.integers(0, 8))
+    mode = draw(st.sampled_from(("exact", "zero", "mixed")))
+    z = []
+    for n in range(N):
+        pick = mode if mode != "mixed" else draw(
+            st.sampled_from(("exact", "zero", "random")))
+        if pick == "exact":
+            z.append(elimination_multiplier(g, n))
+        elif pick == "zero":
+            z.append(F(0))
+        else:
+            z.append(draw(st.fractions(-3, 3, max_denominator=7)))
+    return finite_section(g, kind, N), z
+
+
+@st.composite
+def _random_factors_with_multipliers(draw):
+    """Arbitrary small factors with frequent zeros, so that many patterns
+    of vanishing u_i and v_j reach the structure check."""
+    N = draw(st.integers(0, 7))
+    small = st.integers(-2, 2).map(F)
+    diag, row, col, z = (tuple(draw(small) for _ in range(size))
+                         for size in (N + 1, N + 1, N + 1, N))
+    return FactoredSection(diag, row, col), z
 
 
 class TestEliminationMultiplier:
@@ -92,6 +143,35 @@ class TestTridiagonalize:
         Q2 = finite_section(odd_gens, MatrixKind.Q, 2)
         with pytest.raises(ValueError):
             tridiagonalize(Q2, [F(1, 2)])
+
+
+class TestFactoredTridiagonalize:
+    """The O(N) route on FactoredSection against dense elimination."""
+
+    @given(case=_sections_with_multipliers())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_elimination(self, case):
+        section, z = case
+        assert isinstance(section, FactoredSection)
+        assert (_tridiagonal_outcome(section, z)
+                == _tridiagonal_outcome(_dense(section), z))
+
+    @given(case=_random_factors_with_multipliers())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_elimination_on_arbitrary_factors(self, case):
+        section, z = case
+        assert (_tridiagonal_outcome(section, z)
+                == _tridiagonal_outcome(_dense(section), z))
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 7, 31, 60])
+    def test_certify_deltas_match_dense_route(self, N):
+        for g in EQUIVALENCE_FAMILIES:
+            z = [elimination_multiplier(g, n) for n in range(N)]
+            dense = delta_sequence(tridiagonalize(
+                _dense(finite_section(g, MatrixKind.Q, N)), z))
+            report = certify(g, N)
+            assert report.deltas == dense.deltas
+            assert report.determinant == dense.determinant()
 
 
 class TestDeltaSequence:
@@ -235,6 +315,15 @@ class TestCertify:
         report = positivity.certify(odd_gens, 6)
         assert report.used_minors_fallback
         assert report.verdict is Verdict.CERTIFIED_POSITIVE
+
+    def test_vanishing_column_factor_falls_back_to_dense_minors(self):
+        # C_3 = 0 while C_2 != 0 for this table, so z_2 is undefined.
+        g = FactorableGenerators(TableWeights((1, 2, 4, 3, 3)))
+        report = certify(g, 3, CertifyOptions(override_hypotheses=True))
+        assert report.used_minors_fallback
+        assert "column factor vanishes at index 3" in report.notes
+        dense = _dense(finite_section(g, MatrixKind.Q, 3))
+        assert report.determinant == leading_minors(dense)[-1]
 
     def test_bounds_skipped_off_family(self, cesaro_gens):
         report = certify(cesaro_gens, 5, CertifyOptions(bounds=True))
