@@ -118,8 +118,11 @@ def _short_fraction(x: Fraction) -> str:
     s = fraction_str(x)
     if len(s) <= 60:
         return s
-    nd = len(str(abs(x.numerator)))
-    dd = len(str(x.denominator))
+    # Count digits in s: a second str() of a huge int would hit the
+    # int-to-str digit limit, which fraction_str lifts only for its call.
+    num, _, den = s.lstrip("-").partition("/")
+    nd = len(num)
+    dd = len(den) or 1
     return f"<exact rational with {nd}/{dd} digits>"
 
 

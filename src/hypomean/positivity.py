@@ -46,7 +46,7 @@ class StructureError(RuntimeError):
 
     def __init__(self, i: int, j: int, value: Fraction):
         super().__init__(
-            f"entry ({i}, {j}) = {value} survived elimination beyond the "
+            f"entry ({i}, {j}) = {fraction_str(value)} survived elimination beyond the "
             "first off-diagonal; the section lacks the product structure")
         self.position = (i, j)
         self.value = value

@@ -41,3 +41,18 @@ class TestSymbolicCertificate:
         path = tmp_path / "cert.json"
         assert main(self.ARGS + ["--json", str(path)]) == EXIT_INCONCLUSIVE
         assert json.loads(path.read_text())[failed] is False
+
+
+class TestCertifyPretty:
+    def test_values_past_the_digit_limit_print_their_sizes(self, capsys):
+        # At N=400 the determinant of linear:2,1 has more digits than the
+        # default int-to-str limit (4300).
+        args = ["certify", "--weights", "linear:2,1", "--N", "400"]
+        assert main(args + ["--pretty"]) == EXIT_OK
+        pretty = capsys.readouterr().out
+        assert main(args) == EXIT_OK
+        det = json.loads(capsys.readouterr().out)["determinant"]
+        num, den = det.split("/")
+        assert len(num) > 4300
+        assert f"determinant: <exact rational with {len(num)}/{len(den)} digits>" in pretty
+        assert "verdict:     CertifiedPositive" in pretty

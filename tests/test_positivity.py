@@ -134,6 +134,11 @@ class TestTridiagonalize:
         i, j = exc.value.position
         assert abs(i - j) > 1
 
+    def test_structure_error_names_a_value_past_the_digit_limit(self):
+        value = F(10**5000 + 1, 3)
+        message = str(StructureError(0, 2, value))
+        assert message.startswith("entry (0, 2) = 1" + "0" * 4999 + "1/3 survived")
+
     def test_requires_symmetric_section(self, odd_gens):
         M1 = finite_section(odd_gens, MatrixKind.M, 1)
         with pytest.raises(ValueError):
