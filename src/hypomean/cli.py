@@ -262,10 +262,10 @@ def _check_q_agreement() -> tuple[bool, str]:
 def _check_tridiagonal_forms() -> tuple[bool, str]:
     g = _odd_generators()
     N = 51
-    for n in range(N):
-        if elimination_multiplier(g, n) != z_closed_odd(n):
-            return False, f"multiplier mismatch at {n}"
     Q = finite_section(g, MatrixKind.Q, N)
+    for n in range(N):
+        if elimination_multiplier(Q, n) != z_closed_odd(n):
+            return False, f"multiplier mismatch at {n}"
     T = tridiagonalize(Q, [z_closed_odd(n) for n in range(N)])
     for n in range(N):
         if T.d[n] != d_closed_odd(n) or T.s[n] != s_closed_odd(n):
@@ -298,7 +298,7 @@ def _check_determinant_preservation() -> tuple[bool, str]:
         minors = leading_minors(finite_section(g, MatrixKind.Q, 15))
         for N in range(16):
             QN = finite_section(g, MatrixKind.Q, N)
-            T = tridiagonalize(QN, [elimination_multiplier(g, n) for n in range(N)])
+            T = tridiagonalize(QN, [elimination_multiplier(QN, n) for n in range(N)])
             if delta_sequence(T).determinant() != minors[N]:
                 return False, f"det mismatch for {spec} at N={N}"
     return True, "pivot products equal elimination minors, N <= 15, three families"

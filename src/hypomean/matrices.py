@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 from typing import Callable
 
 from .weights import FactorableGenerators, format_rational
@@ -95,12 +96,11 @@ def p_entry_oracle(g: FactorableGenerators, i: int, j: int) -> Fraction:
 
     Column j of the auxiliary factor vanishes below row j+1, so the inner
     product of columns i and j has at most min(i, j) + 2 terms.  No
-    truncation is involved; the sum is exact.
+    truncation is involved; the sum is exact.  The columns are memoized on
+    the generators, so a section of N+1 columns computes O(N^2) entries of
+    B once and spends the rest on the products.
     """
-    total = _ZERO
-    for k in range(min(i, j) + 2):
-        total += b_entry(g, k, i) * b_entry(g, k, j)
-    return total
+    return sum(map(mul, g.b_column(i), g.b_column(j)), _ZERO)
 
 
 def q_entry(g: FactorableGenerators, i: int, j: int) -> Fraction:

@@ -27,7 +27,6 @@ from .matrices import (
     MatrixKind,
     finite_section,
     fraction_str,
-    offdiag_factors,
     require_weights,
 )
 from .weights import (
@@ -123,16 +122,16 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-def elimination_multiplier(g: FactorableGenerators, n: int) -> Fraction:
-    """Multiplier z_n = C_n / C_{n+1} from the off-diagonal column factors.
+def elimination_multiplier(Q: FactoredSection, n: int) -> Fraction:
+    """Multiplier z_n = C_n / C_{n+1} from the column factors of Q.
 
     Subtracting z_n times column n+1 from column n wipes everything below
     the first subdiagonal because all those entries share the row factor.
     If both factors vanish the column is already clear and z_n = 0 works;
-    if only C_{n+1} vanishes no multiplier can do the job.
+    if only C_{n+1} vanishes no multiplier can do the job.  The section of
+    P carries the negated factors, which give the same multipliers.
     """
-    _, cn = offdiag_factors(g, n)
-    _, cn1 = offdiag_factors(g, n + 1)
+    cn, cn1 = Q.col[n], Q.col[n + 1]
     if cn1 == 0:
         if cn == 0:
             return _ZERO
@@ -314,34 +313,40 @@ def _det_pivoted(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def leading_minors(Q: ExactMatrix) -> list[Fraction]:
-    """Exact determinants of all leading principal sections.
+def leading_minors(Q: ExactMatrix | FactoredSection) -> list[Fraction]:
+    """Exact determinants of all leading principal sections of a symmetric Q.
 
     A single elimination sweep without pivoting yields every minor as a
-    running product of pivots.  If a pivot vanishes, that minor is zero and
-    the later sections are evaluated independently with pivoting.
+    running product of pivots.  Each Schur complement of a symmetric matrix
+    is symmetric, so the sweep keeps only the upper triangle and reads
+    A[k][r] in place of A[r][k]: about n^3/6 updates instead of n^3/3.  If a
+    pivot vanishes, that minor is zero and the later sections are evaluated
+    independently with pivoting.
     """
-    if Q.n_rows != Q.n_cols:
-        raise ValueError("leading minors need a square matrix")
+    if not Q.symmetric:
+        raise ValueError("leading minors expect a symmetric section")
     n = Q.n_rows
     A = [list(r) for r in Q.entries]
     minors: list[Fraction] = []
     running = _ONE
     for k in range(n):
-        if A[k][k] == 0:
+        row_k = A[k]
+        pivot = row_k[k]
+        if pivot == 0:
             minors.append(_ZERO)
             minors.extend(
                 _det_pivoted([list(r[:m + 1]) for r in Q.entries[:m + 1]])
                 for m in range(k + 1, n))
             return minors
-        running *= A[k][k]
+        running *= pivot
         minors.append(running)
         for r in range(k + 1, n):
-            if A[r][k] == 0:
+            if row_k[r] == 0:
                 continue
-            f = A[r][k] / A[k][k]
-            for c in range(k, n):
-                A[r][c] -= f * A[k][c]
+            f = row_k[r] / pivot
+            row_r = A[r]
+            for c in range(r, n):
+                row_r[c] -= f * row_k[c]
     return minors
 
 
@@ -501,7 +506,7 @@ def certify(g: FactorableGenerators, N: int,
     if not options.minors_only:
         try:
             t0 = time.perf_counter()
-            z = [elimination_multiplier(g, n) for n in range(N)]
+            z = [elimination_multiplier(Q, n) for n in range(N)]
             T = tridiagonalize(Q, z)
             deltas_obj = delta_sequence(T)
             timings["tridiagonal_s"] = time.perf_counter() - t0

@@ -119,23 +119,28 @@ def parse_weight_spec(spec: str) -> WeightSequence:
 class FactorableGenerators:
     """Derived sequences of a weight sequence, memoized for reuse.
 
-    Caches the partial sums W_i and the prefix sums of c_k^2; both appear
-    in every closed-form matrix entry.  The caches only ever grow and are
-    extended under a lock, so concurrent readers are safe.
+    Caches the partial sums W_i, the row factors a_i = 1/W_i and the prefix
+    sums of c_k^2, which appear in every closed-form matrix entry, and the
+    columns of the auxiliary factor B, which the finite-sum oracle for P
+    reads.  The caches only ever grow and are extended under a lock, so
+    concurrent readers are safe; they live as long as this object.
     """
 
     def __init__(self, weights: WeightSequence):
         self.weights = weights
         self._W: list[Fraction] = []
+        self._a: list[Fraction] = []
         self._S: list[Fraction] = []
+        self._B: dict[int, tuple[Fraction, ...]] = {}
         self._lock = threading.Lock()
 
     def _ensure(self, upto: int) -> None:
-        if len(self._W) > upto:
+        # _a is extended last: once it covers `upto`, W and S do too.
+        if len(self._a) > upto:
             return
         with self._lock:
-            while len(self._W) <= upto:
-                k = len(self._W)
+            while len(self._a) <= upto:
+                k = len(self._a)
                 w = self.weights.weight(k)
                 if k == 0:
                     self._W.append(w)
@@ -143,6 +148,7 @@ class FactorableGenerators:
                 else:
                     self._W.append(self._W[-1] + w)
                     self._S.append(self._S[-1] + w * w)
+                self._a.append(1 / self._W[-1])
 
     def weight(self, n: int) -> Fraction:
         return self.weights.weight(n)
@@ -158,7 +164,11 @@ class FactorableGenerators:
         return self._W[i]
 
     def a(self, i: int) -> Fraction:
-        return 1 / self.partial_sum(i)
+        """a_i = 1/W_i, memoized alongside W."""
+        if i < 0:
+            raise IndexError("row factor index must be nonnegative")
+        self._ensure(i)
+        return self._a[i]
 
     def generators(self, i: int) -> tuple[Fraction, Fraction]:
         """(a_i, c_i) = (1/W_i, w_i)."""
@@ -170,6 +180,23 @@ class FactorableGenerators:
             raise IndexError("prefix sum index must be nonnegative")
         self._ensure(j)
         return self._S[j]
+
+    def b_column(self, j: int) -> tuple[Fraction, ...]:
+        """Column j of the auxiliary factor B down to its last nonzero
+        entry: (b_0j, ..., b_{j+1,j}), computed once per index.
+
+        With r = a_{j+1}/a_j the entries are c_i (1/c_j - r/c_{j+1}) for
+        i <= j and -r for i = j+1; matrices.b_entry computes a single entry
+        from the same definition and is the reference for this memo.
+        """
+        column = self._B.get(j)
+        if column is None:
+            ratio = self.a(j + 1) / self.a(j)
+            scale = 1 / self.c(j) - ratio / self.c(j + 1)
+            column = tuple(self.c(i) * scale for i in range(j + 1)) + (-ratio,)
+            with self._lock:
+                column = self._B.setdefault(j, column)
+        return column
 
     def spec_string(self) -> str:
         return self.weights.spec_string()

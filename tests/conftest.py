@@ -12,9 +12,15 @@ def odd_gens() -> FactorableGenerators:
 
 
 @pytest.fixture(scope="session")
-def cesaro_gens() -> FactorableGenerators:
-    """Generators for w_n = n+1."""
+def natural_gens() -> FactorableGenerators:
+    """Generators for w_n = n+1 (linear:1,1)."""
     return FactorableGenerators(LinearWeights(1, 1))
+
+
+@pytest.fixture(scope="session")
+def cesaro_gens() -> FactorableGenerators:
+    """Generators for the Cesàro weights w_n = 1 (linear:0,1)."""
+    return FactorableGenerators(LinearWeights(0, 1))
 
 
 @pytest.fixture(scope="session")
@@ -24,8 +30,8 @@ def steep_gens() -> FactorableGenerators:
 
 
 @pytest.fixture(scope="session")
-def all_families(odd_gens, cesaro_gens, steep_gens):
-    return (odd_gens, cesaro_gens, steep_gens)
+def all_families(odd_gens, natural_gens, steep_gens):
+    return (odd_gens, natural_gens, steep_gens)
 
 
 def F(num, den=1) -> Fraction:

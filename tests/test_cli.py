@@ -56,3 +56,11 @@ class TestCertifyPretty:
         assert len(num) > 4300
         assert f"determinant: <exact rational with {len(num)}/{len(den)} digits>" in pretty
         assert "verdict:     CertifiedPositive" in pretty
+
+
+class TestPaperCheck:
+    def test_bundle_passes(self, capsys):
+        assert main(["paper-check"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert out.rstrip().endswith("all checks passed")

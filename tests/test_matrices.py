@@ -9,6 +9,7 @@ from hypomean import (
     ExactMatrix,
     FactorableGenerators,
     FactoredSection,
+    LinearWeights,
     MatrixKind,
     TableWeights,
     b_entry,
@@ -22,6 +23,9 @@ from hypomean import (
 )
 
 F = Fraction
+
+# Positive rational weights, long enough for the sections up to N = 30.
+RATIONAL_TABLE = tuple(F(k % 5 + 1, k % 3 + 1) for k in range(32))
 
 
 class TestMeanMatrixEntries:
@@ -65,6 +69,22 @@ class TestInterrupterEntries:
     def test_oracle_symmetry(self, i, j, steep_gens):
         assert p_entry_oracle(steep_gens, i, j) == p_entry_oracle(steep_gens, j, i)
 
+    @pytest.mark.parametrize("weights", [LinearWeights(3, 1), LinearWeights(1, 5),
+                                         TableWeights(RATIONAL_TABLE)])
+    def test_oracle_equals_uncached_sum_of_b_entries(self, weights):
+        def by_b_entries(g, i, j):
+            return sum(b_entry(g, k, i) * b_entry(g, k, j)
+                       for k in range(min(i, j) + 2))
+
+        pairs = [(i, j) for i in range(14) for j in range(14)]
+        for i, j in pairs:
+            fresh = FactorableGenerators(weights)
+            assert p_entry_oracle(fresh, i, j) == by_b_entries(fresh, i, j)
+        warmed = FactorableGenerators(weights)
+        finite_section(warmed, MatrixKind.P_ORACLE, 13)
+        for i, j in pairs:
+            assert p_entry_oracle(warmed, i, j) == by_b_entries(warmed, i, j)
+
     def test_oracle_equivalence_small_grid(self, all_families):
         for g in all_families:
             for i in range(13):
@@ -100,10 +120,13 @@ class TestFiniteSections:
         assert section.entries == ((F(1), F(0)), (F(1, 4), F(3, 4)))
         assert not section.symmetric
 
-    def test_closed_and_oracle_sections_identical(self, odd_gens):
-        closed = finite_section(odd_gens, MatrixKind.P_CLOSED, 25)
-        oracle = finite_section(odd_gens, MatrixKind.P_ORACLE, 25)
-        assert closed.entries == oracle.entries
+    def test_closed_and_oracle_sections_identical(self):
+        for weights in (LinearWeights(2, 1), LinearWeights(1, 5), LinearWeights(1, 1),
+                        LinearWeights(3, 1), TableWeights(RATIONAL_TABLE)):
+            g = FactorableGenerators(weights)
+            closed = finite_section(g, MatrixKind.P_CLOSED, 30)
+            oracle = finite_section(g, MatrixKind.P_ORACLE, 30)
+            assert closed.entries == oracle.entries, weights
 
     def test_q_section_is_exactly_symmetric(self, steep_gens):
         section = finite_section(steep_gens, MatrixKind.Q, 12)
@@ -112,14 +135,14 @@ class TestFiniteSections:
             for j in range(13):
                 assert section.entry(i, j) == section.entry(j, i)
 
-    def test_section_matches_entry_functions(self, cesaro_gens):
+    def test_section_matches_entry_functions(self, natural_gens):
         for kind, fn in ((MatrixKind.Q, q_entry),
                          (MatrixKind.P_CLOSED, p_entry_closed),
                          (MatrixKind.B, b_entry)):
-            section = finite_section(cesaro_gens, kind, 8)
+            section = finite_section(natural_gens, kind, 8)
             for i in range(9):
                 for j in range(9):
-                    assert section.entry(i, j) == fn(cesaro_gens, i, j)
+                    assert section.entry(i, j) == fn(natural_gens, i, j)
 
     def test_q_and_p_sections_are_factored_with_lazy_entries(self, steep_gens):
         for kind in (MatrixKind.Q, MatrixKind.P_CLOSED):

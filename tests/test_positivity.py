@@ -32,6 +32,7 @@ from hypomean import (
     z_closed_odd,
 )
 from hypomean.matrices import ExactMatrix
+from hypomean.positivity import _det_pivoted
 
 F = Fraction
 
@@ -58,18 +59,19 @@ def _sections_with_multipliers(draw):
     g = draw(st.sampled_from(EQUIVALENCE_FAMILIES))
     kind = draw(st.sampled_from((MatrixKind.Q, MatrixKind.P_CLOSED)))
     N = draw(st.integers(0, 8))
+    section = finite_section(g, kind, N)
     mode = draw(st.sampled_from(("exact", "zero", "mixed")))
     z = []
     for n in range(N):
         pick = mode if mode != "mixed" else draw(
             st.sampled_from(("exact", "zero", "random")))
         if pick == "exact":
-            z.append(elimination_multiplier(g, n))
+            z.append(elimination_multiplier(section, n))
         elif pick == "zero":
             z.append(F(0))
         else:
             z.append(draw(st.fractions(-3, 3, max_denominator=7)))
-    return finite_section(g, kind, N), z
+    return section, z
 
 
 @st.composite
@@ -83,24 +85,44 @@ def _random_factors_with_multipliers(draw):
     return FactoredSection(diag, row, col), z
 
 
+@st.composite
+def _symmetric_matrices(draw):
+    """Small symmetric rational matrices, mostly zeros, so that leading
+    pivots vanish and the pivoted fallback runs."""
+    n = draw(st.integers(1, 6))
+    value = st.sampled_from((0, 0, 0, 1, -1, 2, F(1, 2), F(-3, 2)))
+    upper = {(i, j): draw(value) for i in range(n) for j in range(i, n)}
+    return ExactMatrix(tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n))
+                             for i in range(n)), symmetric=True)
+
+
 class TestEliminationMultiplier:
     def test_closed_values(self):
         assert z_closed_odd(0) == F(3, 4)
         assert z_closed_odd(1) == F(8, 9)
 
     def test_matches_closed_form_to_50(self, odd_gens):
+        Q = finite_section(odd_gens, MatrixKind.Q, 51)
         for n in range(51):
-            assert elimination_multiplier(odd_gens, n) == z_closed_odd(n)
+            assert elimination_multiplier(Q, n) == z_closed_odd(n)
 
     def test_constant_weights_give_zero_multiplier(self):
         g = FactorableGenerators(TableWeights((1, 1, 1, 1)))
-        assert elimination_multiplier(g, 0) == 0
-        assert elimination_multiplier(g, 1) == 0
+        Q = finite_section(g, MatrixKind.Q, 2)
+        assert elimination_multiplier(Q, 0) == 0
+        assert elimination_multiplier(Q, 1) == 0
 
-    def test_cesaro_multiplier_is_one(self, cesaro_gens):
+    def test_natural_weights_multiplier_is_one(self, natural_gens):
         # the column factor is a constant for w_n = n+1
-        assert elimination_multiplier(cesaro_gens, 0) == 1
-        assert elimination_multiplier(cesaro_gens, 7) == 1
+        Q = finite_section(natural_gens, MatrixKind.Q, 8)
+        assert elimination_multiplier(Q, 0) == 1
+        assert elimination_multiplier(Q, 7) == 1
+
+    def test_p_section_gives_the_same_multipliers(self, steep_gens):
+        Q = finite_section(steep_gens, MatrixKind.Q, 9)
+        P = finite_section(steep_gens, MatrixKind.P_CLOSED, 9)
+        for n in range(9):
+            assert elimination_multiplier(P, n) == elimination_multiplier(Q, n)
 
 
 class TestTridiagonalize:
@@ -171,9 +193,9 @@ class TestFactoredTridiagonalize:
     @pytest.mark.parametrize("N", [0, 1, 2, 7, 31, 60])
     def test_certify_deltas_match_dense_route(self, N):
         for g in EQUIVALENCE_FAMILIES:
-            z = [elimination_multiplier(g, n) for n in range(N)]
-            dense = delta_sequence(tridiagonalize(
-                _dense(finite_section(g, MatrixKind.Q, N)), z))
+            section = finite_section(g, MatrixKind.Q, N)
+            z = [elimination_multiplier(section, n) for n in range(N)]
+            dense = delta_sequence(tridiagonalize(_dense(section), z))
             report = certify(g, N)
             assert report.deltas == dense.deltas
             assert report.determinant == dense.determinant()
@@ -228,6 +250,19 @@ class TestLeadingMinors:
         m = ExactMatrix(((F(0), F(1)), (F(1), F(0))), symmetric=True)
         assert leading_minors(m) == [F(0), F(-1)]
 
+    @given(m=_symmetric_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pivoted_determinants_of_leading_blocks(self, m):
+        blocks = [_det_pivoted([list(row[:k + 1]) for row in m.entries[:k + 1]])
+                  for k in range(m.n_rows)]
+        assert leading_minors(m) == blocks
+
+    def test_requires_symmetric_section(self, odd_gens):
+        with pytest.raises(ValueError, match="symmetric"):
+            leading_minors(finite_section(odd_gens, MatrixKind.M, 2))
+        with pytest.raises(ValueError, match="symmetric"):
+            leading_minors(ExactMatrix(((F(1), F(2)), (F(2), F(1)), (F(0), F(0)))))
+
     def test_agrees_with_pivot_products(self, odd_gens):
         minors = leading_minors(finite_section(odd_gens, MatrixKind.Q, 10))
         for N in range(11):
@@ -276,10 +311,18 @@ class TestCertify:
         assert report.bound_report is not None and report.bound_report.all_ok
         assert report.minors_agree
 
-    def test_cesaro_n50(self, cesaro_gens):
-        report = certify(cesaro_gens, 50)
+    def test_natural_weights_n50(self, natural_gens):
+        report = certify(natural_gens, 50)
         assert report.verdict is Verdict.CERTIFIED_POSITIVE
         assert report.min_delta > 0
+
+    def test_cesaro_weights_give_a_diagonal_q(self, cesaro_gens):
+        Q = finite_section(cesaro_gens, MatrixKind.Q, 40)
+        assert all(c == 0 for c in Q.col)
+        assert Q.diag == tuple(F(1, k + 2) for k in range(41))
+        report = certify(cesaro_gens, 40)
+        assert report.verdict is Verdict.CERTIFIED_POSITIVE
+        assert report.deltas == Q.diag
 
     def test_steep_family_n30(self, steep_gens):
         report = certify(steep_gens, 30)
@@ -314,7 +357,7 @@ class TestCertify:
         assert minors_only.determinant == default.determinant
 
     def test_degenerate_multiplier_falls_back(self, odd_gens, monkeypatch):
-        def boom(g, n):
+        def boom(Q, n):
             raise DegenerateFactorError("forced for testing")
         monkeypatch.setattr(positivity, "elimination_multiplier", boom)
         report = positivity.certify(odd_gens, 6)
@@ -330,8 +373,8 @@ class TestCertify:
         dense = _dense(finite_section(g, MatrixKind.Q, 3))
         assert report.determinant == leading_minors(dense)[-1]
 
-    def test_bounds_skipped_off_family(self, cesaro_gens):
-        report = certify(cesaro_gens, 5, CertifyOptions(bounds=True))
+    def test_bounds_skipped_off_family(self, natural_gens):
+        report = certify(natural_gens, 5, CertifyOptions(bounds=True))
         assert report.bound_report is None
         assert "skipped" in report.notes
 

@@ -1,3 +1,4 @@
+import sys
 import threading
 from fractions import Fraction
 
@@ -85,14 +86,27 @@ class TestPartialSums:
                 for i in range(300):
                     if g.partial_sum(i) != (i + 1) ** 2:
                         errors.append(i)
+                    if g.a(i) != Fraction(1, (i + 1) ** 2):
+                        errors.append(("a", i))
+                    if g.c_squared_sum(i) != (i + 1) * (2 * i + 1) * (2 * i + 3) // 3:
+                        errors.append(("S", i))
+                    j = i % 40
+                    if g.b_column(j)[-1] != -Fraction((j + 1) ** 2, (j + 2) ** 2):
+                        errors.append(("b", j))
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
         threads = [threading.Thread(target=reader) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
 
 
