@@ -40,8 +40,6 @@ from .positivity import (
     certify,
     check_delta_bounds,
     d_closed_odd,
-    delta_final_lower_bound_odd,
-    delta_lower_bound_odd,
     delta_sequence,
     elimination_multiplier,
     leading_minors,
@@ -60,6 +58,7 @@ from .symbolic import (
     SymbolicTridiagonal,
     degree_report,
     induction_certificate,
+    known_floor,
     odd_delta_floor,
     partial_sum_poly,
     power_sum,

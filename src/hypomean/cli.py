@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import (
@@ -43,6 +42,7 @@ from .symbolic import (
     ODD_CERTIFICATE_REFERENCE,
     degree_report,
     induction_certificate,
+    known_floor,
     odd_delta_floor,
     reference_ratio_odd,
     symbolic_q,
@@ -62,20 +62,6 @@ _VERDICT_EXIT = {
     Verdict.NOT_POSITIVE: EXIT_NOT_POSITIVE,
     Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE,
 }
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    weights_spec: str = "linear:2,1"
-    N: int = 0
-    kind: str = "Q"
-    emit: str = "qdiag"
-    output: str | None = None
-    cross_check: bool = False
-    bounds: bool = False
-    override: bool = False
-    pretty: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,32 +115,32 @@ def _short_fraction(x: Fraction) -> str:
 # ----------------------------------------------------------------------
 # subcommands
 
-def _cmd_dump(cfg: RunConfig) -> int:
-    g = FactorableGenerators(parse_weight_spec(cfg.weights_spec))
-    kind = MatrixKind.from_string(cfg.kind)
-    section = finite_section(g, kind, cfg.N)
+def _cmd_dump(args: argparse.Namespace) -> int:
+    g = FactorableGenerators(parse_weight_spec(args.weights))
+    kind = MatrixKind.from_string(args.kind)
+    section = finite_section(g, kind, args.N)
     _emit_json({
         "family": g.spec_string(),
         "kind": kind.value,
-        "N": cfg.N,
+        "N": args.N,
         "symmetric": section.symmetric,
         "entries": section.to_string_rows(),
-    }, cfg.output)
+    }, args.output)
     return EXIT_OK
 
 
-def _cmd_certify(cfg: RunConfig) -> int:
-    g = FactorableGenerators(parse_weight_spec(cfg.weights_spec))
+def _cmd_certify(args: argparse.Namespace) -> int:
+    g = FactorableGenerators(parse_weight_spec(args.weights))
     options = CertifyOptions(
-        cross_check_minors=cfg.cross_check,
-        bounds=cfg.bounds,
-        override_hypotheses=cfg.override,
+        cross_check_minors=args.cross_check,
+        bounds=args.bounds,
+        override_hypotheses=args.override,
     )
-    report = certify(g, cfg.N, options)
+    report = certify(g, args.N, options)
     payload = report.to_json_dict()
-    if cfg.output is not None:
-        _emit_json(payload, cfg.output)
-    if cfg.pretty:
+    if args.output is not None:
+        _emit_json(payload, args.output)
+    if args.pretty:
         print(f"family:      {report.family}")
         print(f"N:           {report.N}")
         print(f"verdict:     {report.verdict.value}")
@@ -168,16 +154,16 @@ def _cmd_certify(cfg: RunConfig) -> int:
         print(f"notes:       {report.notes}")
         for name, seconds in report.timings.items():
             print(f"  {name}: {seconds:.3f}")
-    elif cfg.output is None:
+    elif args.output is None:
         _emit_json(payload, None)
     return _VERDICT_EXIT[report.verdict]
 
 
-def _cmd_symbolic(cfg: RunConfig) -> int:
-    weights = parse_weight_spec(cfg.weights_spec)
+def _cmd_symbolic(args: argparse.Namespace) -> int:
+    weights = parse_weight_spec(args.weights)
     family = weights.spec_string()
     code = EXIT_OK
-    if cfg.emit == "qdiag":
+    if args.emit == "qdiag":
         q = symbolic_q(weights)
         rep = degree_report(weights)
         payload = {
@@ -190,7 +176,7 @@ def _cmd_symbolic(cfg: RunConfig) -> int:
                 "den": rep.q_diag_den_degree,
             },
         }
-    elif cfg.emit == "tridiag":
+    elif args.emit == "tridiag":
         tri = symbolic_tridiagonal(weights)
         payload = {
             "family": family,
@@ -199,13 +185,12 @@ def _cmd_symbolic(cfg: RunConfig) -> int:
             "s": _rf_json(tri.s),
         }
     else:  # certificate
-        is_odd = (isinstance(weights, LinearWeights)
-                  and weights.alpha == 2 and weights.beta == 1)
-        if not is_odd:
+        floor = known_floor(weights)
+        if floor is None:
             raise ValueError(
                 "certificate emission needs a known delta floor, which is "
                 "available for linear:2,1 only")
-        cert = induction_certificate(weights, odd_delta_floor())
+        cert = induction_certificate(weights, floor)
         ratio = reference_ratio_odd(cert.certificate)
         payload = {
             "family": family,
@@ -221,7 +206,7 @@ def _cmd_symbolic(cfg: RunConfig) -> int:
                 str(c) for c in ODD_CERTIFICATE_REFERENCE]
         if not (cert.nonneg_for_n_ge_1 and cert.base_holds):
             code = EXIT_INCONCLUSIVE
-    _emit_json(payload, cfg.output)
+    _emit_json(payload, args.output)
     return code
 
 
@@ -339,7 +324,7 @@ _BUNDLE = (
 )
 
 
-def _cmd_paper_check(cfg: RunConfig) -> int:
+def _cmd_paper_check(args: argparse.Namespace) -> int:
     results = []
     all_ok = True
     for name, fn in _BUNDLE:
@@ -350,8 +335,8 @@ def _cmd_paper_check(cfg: RunConfig) -> int:
         results.append({"name": name, "passed": ok, "detail": detail})
         tag = " ok " if ok else "FAIL"
         print(f"[{tag}] {name}: {detail}  ({seconds:.1f}s)")
-    if cfg.output is not None:
-        _emit_json({"all_passed": all_ok, "checks": results}, cfg.output)
+    if args.output is not None:
+        _emit_json({"all_passed": all_ok, "checks": results}, args.output)
     print("all checks passed" if all_ok else "SOME CHECKS FAILED")
     return EXIT_OK if all_ok else EXIT_NOT_POSITIVE
 
@@ -379,6 +364,7 @@ def _build_parser() -> _Parser:
     p_dump.add_argument("--json", dest="output", default=None,
                         help="write to this path instead of stdout "
                              f"(relative paths resolve under ${OUT_DIR_ENV})")
+    p_dump.set_defaults(handler=_cmd_dump)
 
     p_cert = sub.add_parser("certify", help="certify Q_N positive definite")
     add_weights(p_cert)
@@ -386,55 +372,35 @@ def _build_parser() -> _Parser:
     p_cert.add_argument("--cross-check-minors", action="store_true",
                         dest="cross_check")
     p_cert.add_argument("--bounds", action="store_true",
-                        help="compare pivots against the known floors "
-                             "(linear:2,1 only)")
+                        help="compare pivots against the known floor "
+                             "(linear:2,1 and its multiples)")
     p_cert.add_argument("--override-hypotheses", action="store_true",
                         dest="override")
     p_cert.add_argument("--json", dest="output", default=None)
     p_cert.add_argument("--pretty", action="store_true")
+    p_cert.set_defaults(handler=_cmd_certify)
 
     p_sym = sub.add_parser("symbolic", help="closed forms for linear families")
     add_weights(p_sym)
     p_sym.add_argument("--emit", default="qdiag",
                        choices=["qdiag", "tridiag", "certificate"])
     p_sym.add_argument("--json", dest="output", default=None)
+    p_sym.set_defaults(handler=_cmd_symbolic)
 
     p_pc = sub.add_parser("paper-check",
                           help="run the built-in regression bundle")
     p_pc.add_argument("--json", dest="output", default=None)
+    p_pc.set_defaults(handler=_cmd_paper_check)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    for name in ("weights_spec", "N", "kind", "emit", "output",
-                 "cross_check", "bounds", "override", "pretty"):
-        source = "weights" if name == "weights_spec" else name
-        if hasattr(args, source):
-            setattr(cfg, name, getattr(args, source))
-    if cfg.N < 0:
-        raise ValueError("N must be nonnegative")
-    return cfg
-
-
-_DISPATCH = {
-    "dump": _cmd_dump,
-    "certify": _cmd_certify,
-    "symbolic": _cmd_symbolic,
-    "paper-check": _cmd_paper_check,
-}
-
-
-def run(cfg: RunConfig) -> int:
-    return _DISPATCH[cfg.subcommand](cfg)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return run(cfg)
+        if getattr(args, "N", 0) < 0:
+            raise ValueError("N must be nonnegative")
+        return args.handler(args)
     except (ValueError, IndexError, ZeroDivisionError) as exc:
         sys.stderr.write(f"hypomean: error: {exc}\n")
         return EXIT_USAGE

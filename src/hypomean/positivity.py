@@ -8,9 +8,12 @@ off det Q_N as the product of the deltas.  All leading principal minors
 positive certifies positive definiteness of the section; an independent
 Gaussian-elimination minor computation is available as a cross-check.
 
-For the odd weights w_n = 2n+1 the module also carries the known closed
-forms of z_n, d_n, s_n and the two explicit lower bounds on the deltas, so
-a certification run can confirm them exactly.
+With a floor L (a RationalFunction, see symbolic.known_floor) the pivots
+are checked against delta_n > L(n) for n <= N-1, and the last pivot against
+the bound that one recursion step gives with L(N-1) in place of
+delta_{N-1}; no floor is hand-coded here.  For the odd weights w_n = 2n+1
+the module also carries the known closed forms of z_n, d_n and s_n, so a
+run can confirm them exactly.
 """
 
 from __future__ import annotations
@@ -29,12 +32,9 @@ from .matrices import (
     fraction_str,
     require_weights,
 )
-from .weights import (
-    FactorableGenerators,
-    HypothesisReport,
-    LinearWeights,
-    check_hypotheses,
-)
+from .polynomials import RationalFunction
+from .symbolic import known_floor
+from .weights import FactorableGenerators, HypothesisReport, check_hypotheses
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -157,19 +157,6 @@ def s_closed_odd(n: int) -> Fraction:
     """Known tridiagonal off-diagonal for the odd weights."""
     return Fraction(-(n + 1) * (2 * n * n + 8 * n + 7),
                     (n + 2) ** 2 * (n + 3) * (2 * n + 3))
-
-
-def delta_lower_bound_odd(n: int) -> Fraction:
-    """Induction floor (4n+10)/(4n^2+20n+37), valid for n <= N-1."""
-    return Fraction(4 * n + 10, 4 * n * n + 20 * n + 37)
-
-
-def delta_final_lower_bound_odd(N: int) -> Fraction:
-    """Separate floor for the last pivot, whose diagonal is q_NN."""
-    num = (24 * N**8 + 140 * N**7 + 432 * N**6 + 1160 * N**5
-           + 2234 * N**4 + 2297 * N**3 + 1070 * N**2 + 216 * N + 14)
-    den = 6 * (N + 1) ** 4 * (N + 2) ** 3 * (2 * N + 1) ** 2 * (2 * N + 3)
-    return Fraction(num, den)
 
 
 def tridiagonalize(Q: ExactMatrix | FactoredSection,
@@ -352,7 +339,8 @@ def leading_minors(Q: ExactMatrix | FactoredSection) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Exact comparisons of the deltas against the odd-weights floors."""
+    """Exact comparisons of the deltas against a floor and the final bound
+    derived from it."""
 
     checked_upto: int
     lower_bound_failures: tuple[int, ...]
@@ -375,15 +363,26 @@ class BoundReport:
         }
 
 
-def check_delta_bounds(D: DeltaSequence, N: int) -> BoundReport:
-    """Compare delta_n > (4n+10)/(4n^2+20n+37) for n <= N-1 and the last
-    delta against the separate final floor.  Odd weights only; every
-    comparison is an exact rational one."""
+def check_delta_bounds(T: TridiagonalForm, D: DeltaSequence,
+                       floor: RationalFunction) -> BoundReport:
+    """Compare delta_n > floor(n) for n <= N-1, and the last delta against
+    d_N - s_{N-1}^2 / floor(N-1) (d_0 when N = 0).
+
+    That final bound is one step of the pivot recursion with the floor in
+    place of delta_{N-1}: 0 < floor(N-1) <= delta_{N-1} makes
+    s_{N-1}^2 / delta_{N-1} <= s_{N-1}^2 / floor(N-1).  So the floor must be
+    positive at every checked index, or ValueError is raised.  Every
+    comparison is an exact rational one.
+    """
+    N = T.N
     if not D.complete or len(D.deltas) != N + 1:
         raise ValueError("bound check needs a complete delta sequence of length N+1")
-    failures = tuple(
-        n for n in range(N) if not D.deltas[n] > delta_lower_bound_odd(n))
-    final_bound = delta_final_lower_bound_odd(N)
+    floors = [floor.eval(n) for n in range(N)]
+    for n, value in enumerate(floors):
+        if value <= 0:
+            raise ValueError(f"floor is not positive at n = {n}")
+    failures = tuple(n for n in range(N) if not D.deltas[n] > floors[n])
+    final_bound = T.d[N] - T.s[N - 1] ** 2 / floors[N - 1] if N else T.d[0]
     return BoundReport(
         checked_upto=N,
         lower_bound_failures=failures,
@@ -545,11 +544,10 @@ def certify(g: FactorableGenerators, N: int,
 
     bound_report = None
     if options.bounds:
-        is_odd_family = (isinstance(g.weights, LinearWeights)
-                         and g.weights.alpha == 2 and g.weights.beta == 1)
-        if is_odd_family and deltas_obj.complete:
+        floor = known_floor(g.weights)
+        if floor is not None and deltas_obj.complete:
             t0 = time.perf_counter()
-            bound_report = check_delta_bounds(deltas_obj, N)
+            bound_report = check_delta_bounds(T, deltas_obj, floor)
             timings["bounds_s"] = time.perf_counter() - t0
             notes.append("delta floors hold" if bound_report.all_ok
                          else "delta floor comparisons FAILED")

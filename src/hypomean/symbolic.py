@@ -89,8 +89,8 @@ class DegreeReport:
 
 def _require_linear(weights) -> LinearWeights:
     if not isinstance(weights, LinearWeights):
-        raise TypeError("symbolic derivations are implemented for the "
-                        "linear weight family only")
+        raise ValueError("symbolic derivations are implemented for the "
+                         "linear weight family only")
     return weights
 
 
@@ -313,6 +313,22 @@ def odd_delta_floor(var: str = "n") -> RationalFunction:
     """The floor (4n+10)/(4n^2+20n+37) used for the odd weights."""
     return RationalFunction(Polynomial((10, 4), var),
                             Polynomial((37, 20, 4), var))
+
+
+# Built once, so that checking pivots against it runs no polynomial gcd.
+_ODD_FLOOR = odd_delta_floor()
+
+
+def known_floor(weights) -> RationalFunction | None:
+    """The certified delta floor of a family, or None when none is known.
+
+    This is the one place that decides which family has a floor.  Q depends
+    on the weights only through beta/alpha, so the floor of w_n = 2n+1
+    serves every linear:2k,k.
+    """
+    if isinstance(weights, LinearWeights) and weights.alpha == 2 * weights.beta:
+        return _ODD_FLOOR
+    return None
 
 
 def proportionality_ratio(p: Polynomial, q: Polynomial) -> Fraction | None:

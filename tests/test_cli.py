@@ -4,7 +4,13 @@ import json
 import pytest
 
 import hypomean.cli as cli
-from hypomean.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
+from hypomean.cli import (
+    EXIT_INCONCLUSIVE,
+    EXIT_NOT_POSITIVE,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+)
 
 
 class TestCertifyUsageErrors:
@@ -21,6 +27,48 @@ class TestCertifyUsageErrors:
         assert "weight table has 2 entries" in err
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("args, code", [
+        (["dump", "--N", "2", "--kind", "M"], EXIT_OK),
+        (["certify", "--weights", "linear:2,1", "--N", "5"], EXIT_OK),
+        (["certify", "--weights", "linear:1,5", "--N", "10"], EXIT_NOT_POSITIVE),
+        (["certify", "--weights", "table:1,1/100,1/100", "--N", "0"], EXIT_INCONCLUSIVE),
+        (["symbolic", "--weights", "linear:3,1", "--emit", "tridiag"], EXIT_OK),
+    ])
+    def test_subcommand_exit_codes(self, args, code, capsys):
+        assert main(args) == code
+        json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("sub", ["dump", "certify"])
+    def test_negative_n_is_a_usage_error(self, sub, capsys):
+        assert main([sub, "--N", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "hypomean: error: N must be nonnegative\n"
+
+    def test_missing_n_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify"])
+        assert exc.value.code == EXIT_USAGE
+
+
+class TestSymbolicUsageErrors:
+    @pytest.mark.parametrize("emit, message", [
+        ("qdiag", "linear weight family only"),
+        ("tridiag", "linear weight family only"),
+        ("certificate", "needs a known delta floor"),
+    ])
+    def test_table_family_is_a_usage_error(self, emit, message, capsys):
+        args = ["symbolic", "--weights", "table:1,2,3", "--emit", emit]
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("hypomean: error: ")
+        assert message in err
+
+    def test_family_without_a_floor_has_no_certificate(self, capsys):
+        args = ["symbolic", "--weights", "linear:1,1", "--emit", "certificate"]
+        assert main(args) == EXIT_USAGE
+        assert "needs a known delta floor" in capsys.readouterr().err
+
+
 class TestSymbolicCertificate:
     ARGS = ["symbolic", "--weights", "linear:2,1", "--emit", "certificate"]
 
@@ -29,6 +77,18 @@ class TestSymbolicCertificate:
         assert main(self.ARGS + ["--json", str(path)]) == EXIT_OK
         payload = json.loads(path.read_text())
         assert payload["nonneg_for_n_ge_1"] and payload["base_holds"]
+
+    def test_multiple_of_the_odd_family_uses_its_floor(self, capsys):
+        # Q depends on the weights only through beta/alpha.
+        assert main(["symbolic", "--weights", "linear:4,2",
+                     "--emit", "certificate"]) == EXIT_OK
+        scaled = json.loads(capsys.readouterr().out)
+        assert main(self.ARGS) == EXIT_OK
+        odd = json.loads(capsys.readouterr().out)
+        assert scaled.pop("family") == "linear:4,2"
+        odd.pop("family")
+        assert scaled == odd
+        assert scaled["reference_ratio"] == "1"
 
     @pytest.mark.parametrize("failed", ["nonneg_for_n_ge_1", "base_holds"])
     def test_failed_certificate_is_inconclusive(self, failed, tmp_path, monkeypatch):

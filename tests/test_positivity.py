@@ -18,16 +18,19 @@ from hypomean import (
     TridiagonalForm,
     Verdict,
     certify,
+    Polynomial,
+    RationalFunction,
     check_delta_bounds,
     d_closed_odd,
-    delta_final_lower_bound_odd,
-    delta_lower_bound_odd,
     delta_sequence,
     elimination_multiplier,
     finite_section,
     leading_minors,
+    odd_delta_floor,
     q_entry,
     s_closed_odd,
+    symbolic_q,
+    symbolic_tridiagonal,
     tridiagonalize,
     z_closed_odd,
 )
@@ -271,30 +274,88 @@ class TestLeadingMinors:
             assert delta_sequence(T).determinant() == minors[N]
 
 
+def _odd_final_floor() -> RationalFunction:
+    """The paper's separate floor for the last pivot of Q_N, w_n = 2n+1:
+    (24N^8 + ... + 14) / (6 (N+1)^4 (N+2)^3 (2N+1)^2 (2N+3))."""
+    num = Polynomial((14, 216, 1070, 2297, 2234, 1160, 432, 140, 24))
+    den = (Polynomial((6,)) * Polynomial((1, 1)) ** 4 * Polynomial((2, 1)) ** 3
+           * Polynomial((1, 2)) ** 2 * Polynomial((3, 2)))
+    return RationalFunction(num, den)
+
+
+def _tridiagonal(g, N):
+    Q = finite_section(g, MatrixKind.Q, N)
+    return tridiagonalize(Q, [elimination_multiplier(Q, n) for n in range(N)])
+
+
 class TestDeltaBounds:
     def test_base_anchor_cross_multiplication(self):
-        assert delta_lower_bound_odd(0) == F(10, 37)
+        assert odd_delta_floor().eval(0) == F(10, 37)
         assert 197 * 37 == 7289 > 7200 == 720 * 10
         assert F(197, 720) > F(10, 37)
 
     def test_final_bound_at_n1(self, odd_gens):
         Q1 = finite_section(odd_gens, MatrixKind.Q, 1)
-        D = delta_sequence(tridiagonalize(Q1, [z_closed_odd(0)]))
-        assert delta_final_lower_bound_odd(1) == F(7587, 116640)
-        report = check_delta_bounds(D, 1)
+        T = tridiagonalize(Q1, [z_closed_odd(0)])
+        D = delta_sequence(T)
+        assert _odd_final_floor().eval(1) == F(7587, 116640)
+        report = check_delta_bounds(T, D, odd_delta_floor())
+        assert report.final_bound == F(7587, 116640)
         assert report.final_ok
         assert not report.lower_bound_failures
 
     def test_second_floor_value(self, odd_gens):
-        assert delta_lower_bound_odd(1) == F(14, 61)
+        assert odd_delta_floor().eval(1) == F(14, 61)
         Q2 = finite_section(odd_gens, MatrixKind.Q, 2)
         D = delta_sequence(tridiagonalize(Q2, [z_closed_odd(n) for n in range(2)]))
         assert D.deltas[1] > F(14, 61)
 
     def test_requires_complete_sequence(self):
-        D = delta_sequence(TridiagonalForm(d=(F(1), F(1), F(9)), s=(F(1), F(1))))
+        T = TridiagonalForm(d=(F(1), F(1), F(9)), s=(F(1), F(1)))
         with pytest.raises(ValueError):
-            check_delta_bounds(D, 2)
+            check_delta_bounds(T, delta_sequence(T), odd_delta_floor())
+
+    def test_derived_final_floor_is_the_papers_polynomial(self):
+        # F(N) = q_diag(N) - s(N-1)^2 / L(N-1) as rational functions, so the
+        # two final floors agree at every N.
+        w = LinearWeights(2, 1)
+        back = Polynomial((-1, 1))
+        s_back = symbolic_tridiagonal(w).s.compose(back)
+        derived = (symbolic_q(w).diagonal
+                   - s_back * s_back / odd_delta_floor().compose(back))
+        assert derived == _odd_final_floor()
+
+    def test_final_bound_matches_the_papers_polynomial(self, odd_gens):
+        paper = _odd_final_floor()
+        for N in range(61):
+            report = certify(odd_gens, N, CertifyOptions(bounds=True))
+            assert report.bound_report.final_bound == paper.eval(N)
+            assert report.bound_report.all_ok
+
+    def test_generic_floor_on_natural_weights(self, natural_gens):
+        # 9/(10(n+2)): delta_n (n+2) is 0.9 at n = 1 and 4 and below it at
+        # n = 2 and 3 for linear:1,1, and above it elsewhere up to n = 19.
+        floor = RationalFunction(Polynomial((9,)), Polynomial((20, 10)))
+        N = 20
+        T = _tridiagonal(natural_gens, N)
+        D = delta_sequence(T)
+        report = check_delta_bounds(T, D, floor)
+        assert report.lower_bound_failures == (1, 2, 3, 4)
+        assert report.final_bound == T.d[N] - T.s[N - 1] ** 2 / floor.eval(N - 1)
+        assert report.final_delta == D.deltas[N]
+        assert report.final_ok and not report.all_ok
+
+    def test_floor_not_positive_at_a_checked_index(self, odd_gens):
+        # (n-2)^2 / (n^2+1) vanishes at n = 2 only.
+        floor = RationalFunction(Polynomial((4, -4, 1)), Polynomial((1, 0, 1)))
+        T = _tridiagonal(odd_gens, 3)
+        with pytest.raises(ValueError, match="not positive at n = 2"):
+            check_delta_bounds(T, delta_sequence(T), floor)
+        T = _tridiagonal(odd_gens, 2)
+        assert check_delta_bounds(T, delta_sequence(T), floor).checked_upto == 2
+        negative = RationalFunction(Polynomial((-1, 1)), Polynomial((1, 1)))
+        with pytest.raises(ValueError, match="not positive at n = 0"):
+            check_delta_bounds(T, delta_sequence(T), negative)
 
 
 class TestCertify:
@@ -377,6 +438,26 @@ class TestCertify:
         report = certify(natural_gens, 5, CertifyOptions(bounds=True))
         assert report.bound_report is None
         assert "skipped" in report.notes
+
+    def test_bounds_apply_to_multiples_of_the_odd_family(self, odd_gens):
+        scaled = certify(FactorableGenerators(LinearWeights(4, 2)), 30,
+                         CertifyOptions(bounds=True))
+        assert scaled.bound_report is not None and scaled.bound_report.all_ok
+        assert scaled.bound_report == certify(
+            odd_gens, 30, CertifyOptions(bounds=True)).bound_report
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.fractions(0, 5, max_denominator=4),
+           beta=st.fractions(F(1, 4), 5, max_denominator=4),
+           k=st.fractions(F(1, 4), 6, max_denominator=4),
+           N=st.integers(0, 12))
+    def test_scale_invariance(self, alpha, beta, k, N):
+        # Q depends on the weights only through beta/alpha.
+        base, scaled = (certify(FactorableGenerators(LinearWeights(a, b)), N)
+                        for a, b in ((alpha, beta), (k * alpha, k * beta)))
+        assert scaled.deltas == base.deltas
+        assert scaled.determinant == base.determinant
+        assert scaled.verdict is base.verdict
 
     def test_report_json_shape(self, odd_gens):
         payload = certify(odd_gens, 3).to_json_dict()

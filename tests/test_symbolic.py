@@ -1,0 +1,129 @@
+from fractions import Fraction
+
+import pytest
+
+from hypomean import (
+    FactorableGenerators,
+    LinearWeights,
+    MatrixKind,
+    ODD_CERTIFICATE_REFERENCE,
+    Polynomial,
+    RationalFunction,
+    TableWeights,
+    elimination_multiplier,
+    finite_section,
+    induction_certificate,
+    known_floor,
+    odd_delta_floor,
+    q_entry,
+    reference_ratio_odd,
+    symbolic_q,
+    symbolic_tridiagonal,
+    tridiagonalize,
+)
+from hypomean.symbolic import certify_nonneg_on_ray, certify_positive_on_ray
+
+F = Fraction
+
+FAMILIES = [LinearWeights(2, 1), LinearWeights(1, 5), LinearWeights(3, 1),
+            LinearWeights(0, 1)]
+SAMPLES = (0, 1, 2, 7, 19)
+
+
+def _poly(*coeffs):
+    return Polynomial(coeffs, "x")
+
+
+class TestPositiveOnRay:
+    def test_nonnegative_coefficients(self):
+        assert certify_positive_on_ray(_poly(1, 3, 2), 0) == "coefficients"
+
+    def test_shifted_coefficients(self):
+        # x - 1 has a mixed sign pattern but is x' + 1 with x = x' + 2.
+        assert certify_positive_on_ray(_poly(-1, 1), 2) == "shifted-coefficients"
+
+    def test_sturm(self):
+        # x^2 - 2x + 2 = (x-1)^2 + 1 has no real root.
+        assert certify_positive_on_ray(_poly(2, -2, 1), 0) == "sturm"
+
+    def test_roots_beyond_the_start(self):
+        # (x-2)(x-3) is 6 at x = 0 but negative on (2, 3).
+        p = _poly(6, -5, 1)
+        assert p.eval(0) > 0
+        assert certify_positive_on_ray(p, 0) is None
+        assert certify_positive_on_ray(p, 4) == "shifted-coefficients"
+
+    def test_not_positive_at_the_start(self):
+        assert certify_positive_on_ray(_poly(-1, 1), 1) is None
+        assert certify_positive_on_ray(_poly(), 0) is None
+
+
+class TestNonnegOnRay:
+    def test_zero_polynomial(self):
+        assert certify_nonneg_on_ray(_poly(), 0) == (True, "zero polynomial")
+
+    def test_roots_beyond_the_start(self):
+        decided, why = certify_nonneg_on_ray(_poly(6, -5, 1), 0)
+        assert not decided
+        assert "not decided" in why
+
+    def test_negative_at_the_start(self):
+        assert certify_nonneg_on_ray(_poly(-1, 1), 0) == (
+            False, "value at 0 is negative")
+
+    def test_negative_leading_coefficient(self):
+        assert certify_nonneg_on_ray(_poly(5, 0, -1), 0) == (
+            False, "negative leading coefficient")
+
+    def test_shifted_coefficients_and_sturm(self):
+        assert certify_nonneg_on_ray(_poly(-3, 1), 3) == (True, "shifted-coefficients")
+        assert certify_nonneg_on_ray(_poly(2, -2, 1), 0) == (True, "sturm")
+
+
+@pytest.mark.parametrize("weights", FAMILIES, ids=lambda w: w.spec_string())
+class TestAgainstNumericSections:
+    def test_symbolic_q(self, weights):
+        g = FactorableGenerators(weights)
+        q = symbolic_q(weights)
+        for n in SAMPLES:
+            assert q.diagonal.eval(n) == q_entry(g, n, n)
+            for m in (n + 1, n + 3):
+                assert (q.offdiag_row.eval(m) * q.offdiag_col.eval(n)
+                        == q_entry(g, m, n))
+
+    def test_symbolic_tridiagonal(self, weights):
+        N = max(SAMPLES) + 1
+        Q = finite_section(FactorableGenerators(weights), MatrixKind.Q, N)
+        z = [elimination_multiplier(Q, n) for n in range(N)]
+        T = tridiagonalize(Q, z)
+        tri = symbolic_tridiagonal(weights)
+        for n in SAMPLES:
+            assert tri.z.eval(n) == z[n]
+            assert tri.d.eval(n) == T.d[n]
+            assert tri.s.eval(n) == T.s[n]
+
+
+class TestKnownFloor:
+    def test_odd_family_and_its_multiples(self):
+        for weights in (LinearWeights(2, 1), LinearWeights(4, 2),
+                        LinearWeights(1, F(1, 2)), LinearWeights(F(2, 3), F(1, 3))):
+            assert known_floor(weights) == odd_delta_floor()
+
+    def test_other_families_have_none(self):
+        for weights in (LinearWeights(1, 1), LinearWeights(3, 1),
+                        LinearWeights(0, 1), TableWeights((1, 3, 5, 7))):
+            assert known_floor(weights) is None
+
+
+class TestInductionCertificate:
+    def test_known_floor_matches_the_reference(self):
+        weights = LinearWeights(2, 1)
+        cert = induction_certificate(weights, known_floor(weights))
+        assert cert.nonneg_for_n_ge_1 and cert.base_holds
+        assert reference_ratio_odd(cert.certificate) == 1
+        assert cert.certificate.coeffs == tuple(F(c) for c in ODD_CERTIFICATE_REFERENCE)
+
+    def test_floor_vanishing_at_zero_is_rejected(self):
+        floor = RationalFunction(Polynomial((0, 1)), Polynomial((1, 1)))
+        with pytest.raises(ValueError, match="vanishes at 0"):
+            induction_certificate(LinearWeights(2, 1), floor)
