@@ -60,8 +60,6 @@ from .symbolic import (
     induction_certificate,
     known_floor,
     odd_delta_floor,
-    partial_sum_poly,
-    power_sum,
     proportionality_ratio,
     reference_ratio_odd,
     symbolic_q,

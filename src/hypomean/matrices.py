@@ -56,15 +56,29 @@ def offdiag_factors(g: FactorableGenerators, k: int) -> tuple[Fraction, Fraction
         C_k = (c_k S_{k+1} W_k - c_{k+1} S_k W_{k+1}) / (c_k c_{k+1} W_{k+1})
 
     where S_j is the prefix sum of c^2.  This product structure is what the
-    tridiagonal elimination exploits.
+    tridiagonal elimination exploits.  Both are read from the integer
+    generators of scale lambda, in which R_k scales as 1/lambda and C_k as
+    lambda, so each costs one normalization.
     """
-    ck, ck1 = g.c(k), g.c(k + 1)
-    Wk, Wk1 = g.partial_sum(k), g.partial_sum(k + 1)
-    Sk, Sk1 = g.c_squared_sum(k), g.c_squared_sum(k + 1)
-    den = ck * ck1 * Wk1
-    row = (ck1 * Wk1 - ck * Wk) / den
-    col = (ck * Sk1 * Wk - ck1 * Sk * Wk1) / den
-    return row, col
+    lam = g.scale
+    c, W, S = g.scaled(k)
+    c1, W1, S1 = g.scaled(k + 1)
+    den = c * c1 * W1
+    return (Fraction(lam * (c1 * W1 - c * W), den),
+            Fraction(c * S1 * W - c1 * S * W1, lam * den))
+
+
+def _p_diagonal(g: FactorableGenerators, j: int) -> tuple[int, int]:
+    """Integers (P, D) with p_jj = P / D for the closed form of P:
+
+        P = (c^_j c^_{j+1} W^_j)^2 + S^_j (c^_{j+1} W^_{j+1} - c^_j W^_j)^2
+        D = (c^_j c^_{j+1} W^_{j+1})^2
+
+    in the integer generators; the scale cancels.
+    """
+    c, W, S = g.scaled(j)
+    c1, W1, _ = g.scaled(j + 1)
+    return (c * c1 * W) ** 2 + S * (c1 * W1 - c * W) ** 2, (c * c1 * W1) ** 2
 
 
 def p_entry_closed(g: FactorableGenerators, i: int, j: int) -> Fraction:
@@ -80,11 +94,7 @@ def p_entry_closed(g: FactorableGenerators, i: int, j: int) -> Fraction:
     factors of offdiag_factors.
     """
     if i == j:
-        cj, cj1 = g.c(j), g.c(j + 1)
-        Wj, Wj1 = g.partial_sum(j), g.partial_sum(j + 1)
-        Sj = g.c_squared_sum(j)
-        num = cj * cj * cj1 * cj1 * Wj * Wj + Sj * (cj1 * Wj1 - cj * Wj) ** 2
-        return num / (cj * cj * cj1 * cj1 * Wj1 * Wj1)
+        return Fraction(*_p_diagonal(g, j))
     hi, lo = (i, j) if i > j else (j, i)
     row, _ = offdiag_factors(g, hi)
     _, col = offdiag_factors(g, lo)
@@ -266,15 +276,24 @@ _SYMMETRIC_KINDS = {MatrixKind.P_CLOSED, MatrixKind.P_ORACLE, MatrixKind.Q}
 
 
 def require_weights(g: FactorableGenerators, kind: MatrixKind, N: int) -> None:
-    """Raise IndexError naming the weights the N-th section of `kind` reads
-    when the weight sequence (a finite table) is shorter than that."""
-    # Every kind but M reads w_{N+1}, through a_{N+1}, c_{N+1} or W_{N+1}.
+    """Check that the N-th section of `kind` can be built from the weights.
+
+    Raises IndexError naming the weights the section reads when the weight
+    sequence (a finite table) is shorter than that, and ZeroDivisionError
+    naming the first zero weight it would divide by.
+    """
+    # Every kind but M reads w_{N+1}, through a_{N+1}, c_{N+1} or W_{N+1},
+    # and divides by each of w_0..w_{N+1}.
     top = N if kind is MatrixKind.M else N + 1
     try:
         g.partial_sum(top)
     except IndexError as exc:
         raise IndexError(
             f"{kind.value}_{N} needs the weights w_0..w_{top}: {exc}") from None
+    if kind is not MatrixKind.M:
+        zero = next((k for k in range(top + 1) if not g.scaled(k)[0]), None)
+        if zero is not None:
+            raise ZeroDivisionError(f"{kind.value}_{N} divides by w_{zero} = 0")
 
 
 def finite_section(g: FactorableGenerators, kind: MatrixKind,
@@ -294,11 +313,12 @@ def finite_section(g: FactorableGenerators, kind: MatrixKind,
     if kind in (MatrixKind.Q, MatrixKind.P_CLOSED):
         factors = [offdiag_factors(g, k) for k in range(size)]
         row = tuple(r for r, _ in factors)
-        p_diag = [p_entry_closed(g, k, k) for k in range(size)]
+        p_diag = [_p_diagonal(g, k) for k in range(size)]
         if kind is MatrixKind.Q:
-            return FactoredSection(tuple(_ONE - p for p in p_diag), row,
+            return FactoredSection(tuple(Fraction(D - P, D) for P, D in p_diag), row,
                                    tuple(c for _, c in factors))
-        return FactoredSection(tuple(p_diag), row, tuple(-c for _, c in factors))
+        return FactoredSection(tuple(Fraction(P, D) for P, D in p_diag), row,
+                               tuple(-c for _, c in factors))
     f = _ENTRY_FUNCS[kind]
     entries = tuple(
         tuple(f(g, i, j) for j in range(size)) for i in range(size))

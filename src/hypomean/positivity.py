@@ -2,11 +2,13 @@
 
 The route: eliminate Q_N to a symmetric tridiagonal matrix Y_N with the
 multipliers z_n = C_n / C_{n+1} built from the off-diagonal column factors
-(the elimination preserves the determinant exactly), run the pivot
-recursion delta_0 = d_0, delta_n = d_n - s_{n-1}^2 / delta_{n-1}, and read
-off det Q_N as the product of the deltas.  All leading principal minors
-positive certifies positive definiteness of the section; an independent
-Gaussian-elimination minor computation is available as a cross-check.
+(the elimination preserves the determinant exactly), then read the pivots
+delta_0 = d_0, delta_n = d_n - s_{n-1}^2 / delta_{n-1} off an integer
+continuant of Y_N: X_n = delta_n e_n X_{n-1} with positive integer scales
+e_n, so the signs of the X_n give the verdict and det Q_N = X_N / prod e_n.
+All leading principal minors positive certifies positive definiteness of
+the section; an independent Gaussian-elimination minor computation is
+available as a cross-check.
 
 With a floor L (a RationalFunction, see symbolic.known_floor) the pivots
 are checked against delta_n > L(n) for n <= N-1, and the last pivot against
@@ -19,10 +21,12 @@ run can confirm them exactly.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 from .matrices import (
     ExactMatrix,
@@ -63,8 +67,9 @@ class TridiagonalForm:
     s: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "d", tuple(Fraction(x) for x in self.d))
-        object.__setattr__(self, "s", tuple(Fraction(x) for x in self.s))
+        for name in ("d", "s"):
+            object.__setattr__(self, name, tuple(
+                x if type(x) is Fraction else Fraction(x) for x in getattr(self, name)))
         if not self.d:
             raise ValueError("tridiagonal form needs at least one diagonal entry")
         if len(self.s) != len(self.d) - 1:
@@ -75,45 +80,126 @@ class TridiagonalForm:
         return len(self.d) - 1
 
 
+def _continuant(T: TridiagonalForm) -> Iterator[tuple[int, int, int]]:
+    """Yield (X_{n-1}, X_n, e_n) for n = 0, 1, ..., stopping after the first
+    X_n that is zero.
+
+    X_{-1} = 1, X_0 = d_0 e_0 with e_0 = den d_0, and for n >= 1
+
+        X_n = (d_n e_n) X_{n-1} - (s_{n-1}^2 e_n e_{n-1}) X_{n-2}
+
+    with e_n = lcm(den d_n, den s_{n-1}^2).  Both coefficients are integers,
+    so the loop runs no big-integer gcd.  X_n is the leading minor of order
+    n+1 times e_0 ... e_n, and delta_n = X_n / (X_{n-1} e_n).  A zero X_n is
+    a zero pivot; the next pivot would divide by it, so the run stops there.
+    """
+    d, s = T.d, T.s
+    e = d[0].denominator
+    prev, cur = 1, d[0].numerator
+    yield prev, cur, e
+    for n in range(1, len(d)):
+        if not cur:
+            return
+        dn, sn = d[n], s[n - 1]
+        d_den, s2_den = dn.denominator, sn.denominator ** 2
+        en = math.lcm(d_den, s2_den)
+        prev, cur = cur, (dn.numerator * (en // d_den) * cur
+                          - sn.numerator ** 2 * (en // s2_den) * e * prev)
+        e = en
+        yield prev, cur, e
+
+
+def _pivot(prev: int, cur: int, e: int) -> tuple[int, int]:
+    """delta_n = X_n / (X_{n-1} e_n) as (num, den) with den > 0, unreduced."""
+    den = prev * e
+    return (cur, den) if den > 0 else (-cur, -den)
+
+
+def _top(x: int) -> tuple[float, int]:
+    """x ~ m * 2^k from the top 64 bits of x, without a big division."""
+    k = max(x.bit_length() - 64, 0)
+    return float(x >> k), k
+
+
+# Relative error allowed to the float image of a pivot.  _approx_pivot is
+# accurate to about 2^-50; two pivots whose images are further apart than
+# this are ordered by their images, others are compared exactly.
+_APPROX_TOL = 2.0 ** -40
+
+
+def _approx_pivot(prev: int, cur: int, e: int) -> float | None:
+    """X_n / (X_{n-1} e_n) as a float, or None when it is far outside the
+    normal float range."""
+    if not cur:
+        return 0.0
+    shift = cur.bit_length() - prev.bit_length() - e.bit_length()
+    if not -1000 < shift < 1000:
+        return None
+    (mc, kc), (mp, kp), (me, ke) = _top(cur), _top(prev), _top(e)
+    return math.ldexp(mc / (mp * me), kc - kp - ke)
+
+
+def _clearly_below(a: float | None, b: float | None) -> bool | None:
+    """Whether the value with image a is below the one with image b: True
+    or False when the images decide it, None when only an exact comparison
+    can."""
+    if a is None or b is None:
+        return None
+    slack = _APPROX_TOL * (abs(a) + abs(b))
+    if a < b - slack:
+        return True
+    if a > b + slack:
+        return False
+    return None
+
+
 @dataclass(frozen=True)
 class DeltaSequence:
-    """Pivots of the tridiagonal form.
+    """Pivots of a tridiagonal form, held as the outcome of its integer
+    continuant.
 
     If some delta hits exactly zero before the last index the recursion
     cannot continue (the next step divides by it); deltas then ends with
     that zero, stopped_at records its index and truncated is set.  A zero
     pivot means a vanishing leading minor, a genuinely inconclusive
     boundary case in exact arithmetic.
+
+    The continuant keeps only what the certificate reads: the first
+    nonpositive pivot, the minimum pivot as an unreduced ratio, the last
+    X_n and the scales e_n.  The deltas themselves are recomputed from the
+    form when first read; storing every X_n would take O(N^2) bits.
     """
 
-    deltas: tuple[Fraction, ...]
-    all_positive: bool
-    stopped_at: int | None = None
-    truncated: bool = False
+    form: TridiagonalForm
+    first_nonpositive: int | None
+    stopped_at: int | None
+    truncated: bool
+    scales: tuple[int, ...]
+    last: int
+    minimum: tuple[int, int]
 
     @property
     def complete(self) -> bool:
         return not self.truncated
 
     @property
-    def min_delta(self) -> Fraction:
-        return min(self.deltas)
+    def all_positive(self) -> bool:
+        return self.first_nonpositive is None
 
-    @property
-    def first_nonpositive(self) -> int | None:
-        for k, x in enumerate(self.deltas):
-            if x <= 0:
-                return k
-        return None
+    @cached_property
+    def deltas(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(*_pivot(*step)) for step in _continuant(self.form))
+
+    @cached_property
+    def min_delta(self) -> Fraction:
+        return Fraction(*self.minimum)
 
     def determinant(self) -> Fraction | None:
-        """Product of the deltas; None when the recursion stopped early."""
+        """Product of the deltas, X_N / (e_0 ... e_N); None when the
+        recursion stopped early."""
         if self.truncated:
             return None
-        out = _ONE
-        for x in self.deltas:
-            out *= x
-        return out
+        return Fraction(self.last, math.prod(self.scales))
 
 
 class Verdict(enum.Enum):
@@ -159,31 +245,13 @@ def s_closed_odd(n: int) -> Fraction:
                     (n + 2) ** 2 * (n + 3) * (2 * n + 3))
 
 
-def tridiagonalize(Q: ExactMatrix | FactoredSection,
-                   z: Sequence[Fraction]) -> TridiagonalForm:
-    """Reduce Q to Y = Z^T Q Z with the given multipliers.
+def tridiagonalize(Q: FactoredSection, z: Sequence[Fraction]) -> TridiagonalForm:
+    """Reduce Q to Y = Z^T Q Z with the given multipliers, in O(N).
 
     Z subtracts z_n times column (row) n+1 from column (row) n, for
     n = 0..N-1.  The result is asserted to be exactly tridiagonal and
     symmetric; any nonzero entry beyond the first off-diagonal raises
-    StructureError at the first such entry in row-major order.  A
-    FactoredSection takes the O(N) route; a dense ExactMatrix is eliminated
-    entry by entry, which is the reference the O(N) route is tested
-    against.
-    """
-    if not Q.symmetric:
-        raise ValueError("tridiagonalization expects a symmetric section")
-    N = Q.n_rows - 1
-    if len(z) != N:
-        raise ValueError(f"need {N} multipliers, got {len(z)}")
-    if isinstance(Q, FactoredSection):
-        return _tridiagonalize_factored(Q, z)
-    return _tridiagonalize_dense(Q, z)
-
-
-def _tridiagonalize_factored(Q: FactoredSection,
-                             z: Sequence[Fraction]) -> TridiagonalForm:
-    """Y = Z^T Q Z in O(N) from the diagonal and the factors R, C of Q.
+    StructureError at the first such entry in row-major order.
 
     With u_i = R_i - z_i R_{i+1} (u_N = R_N) and v_j = C_j - z_j C_{j+1},
     every entry of Y with i > j+1 is u_i v_j, and symmetrically above.
@@ -194,87 +262,90 @@ def _tridiagonalize_factored(Q: FactoredSection,
 
     and the last term of s_n is zero once the structure check has passed:
     v_n != 0 then forces u_p = 0 for every p >= n+2, and going down from
-    u_N = R_N that makes R_N, ..., R_{n+2} all zero.
+    u_N = R_N that makes R_N, ..., R_{n+2} all zero.  The zero tests
+    cross-multiply, and each d_n and s_n is one Fraction built from
+    integers.
     """
+    if not Q.symmetric:
+        raise ValueError("tridiagonalization expects a symmetric section")
+    if not isinstance(Q, FactoredSection):
+        raise TypeError("tridiagonalization takes a FactoredSection")
     N = Q.n_rows - 1
+    if len(z) != N:
+        raise ValueError(f"need {N} multipliers, got {len(z)}")
     q, R, C = Q.diag, Q.row, Q.col
-    u = [R[k] - z[k] * R[k + 1] for k in range(N)] + [R[N]]
-    v = [C[k] - z[k] * C[k + 1] for k in range(N)]
+
+    def cancels(x: Fraction, zk: Fraction, y: Fraction) -> bool:
+        # x - zk y == 0
+        return (x.numerator * zk.denominator * y.denominator
+                == zk.numerator * y.numerator * x.denominator)
+
+    def u_nonzero(p: int) -> bool:
+        return bool(R[N]) if p == N else not cancels(R[p], z[p], R[p + 1])
+
     # A nonzero u_p v_q with p >= q+2 shows up at (q, p) above the diagonal,
     # in row q, before it shows up at (p, q) in row p.  So the first
     # offending entry in row-major order is (i, j) with i the least q that
     # has v_q != 0 and some later nonzero u_p, and j the least such p.
-    last_u = next((p for p in range(N, 1, -1) if u[p]), None)
+    last_u = next((p for p in range(N, 1, -1) if u_nonzero(p)), None)
     if last_u is not None:
         for i in range(last_u - 1):
-            if v[i]:
-                j = next(p for p in range(i + 2, N + 1) if u[p])
-                raise StructureError(i, j, u[j] * v[i])
+            if not cancels(C[i], z[i], C[i + 1]):
+                j = next(p for p in range(i + 2, N + 1) if u_nonzero(p))
+                u = R[N] if j == N else R[j] - z[j] * R[j + 1]
+                raise StructureError(i, j, u * (C[i] - z[i] * C[i + 1]))
     d, s = [], []
     for n in range(N):
-        zn, q1 = z[n], q[n + 1]
-        low = R[n + 1] * C[n]
-        d.append(q[n] - 2 * zn * low + zn * zn * q1)
-        s.append(low - zn * q1)
+        zn, zd = z[n].numerator, z[n].denominator
+        a, b = q[n].numerator, q[n].denominator
+        e, f = q[n + 1].numerator, q[n + 1].denominator
+        r, c = R[n + 1], C[n]
+        # Over K = M zd f, with q_{n+1,n} = L/M: q_{n+1,n} = A/K and
+        # z_n q_{n+1,n+1} = B/K, so s_n = (A - B)/K and
+        # d_n = a/b + z_n (B - 2A)/K.
+        L, M = r.numerator * c.numerator, r.denominator * c.denominator
+        K = M * zd * f
+        A, B = L * zd * f, zn * e * M
+        s.append(Fraction(A - B, K))
+        d.append(Fraction(a * zd * K + b * zn * (B - 2 * A), b * zd * K))
     d.append(q[N])
     return TridiagonalForm(d=tuple(d), s=tuple(s))
 
 
-def _tridiagonalize_dense(Q: ExactMatrix,
-                          z: Sequence[Fraction]) -> TridiagonalForm:
-    """Column pass then row pass, in place, on the dense entries.
-
-    Each step only reads a column or row that has not been modified yet,
-    so the passes run in increasing order.
-    """
-    N = Q.n_rows - 1
-    rows = [list(r) for r in Q.entries]
-    for n in range(N):
-        zn = z[n]
-        if zn == 0:
-            continue
-        for i in range(N + 1):
-            rows[i][n] -= zn * rows[i][n + 1]
-    for m in range(N):
-        zm = z[m]
-        if zm == 0:
-            continue
-        row_m, row_m1 = rows[m], rows[m + 1]
-        for j in range(N + 1):
-            row_m[j] -= zm * row_m1[j]
-    for i in range(N + 1):
-        for j in range(N + 1):
-            if abs(i - j) > 1 and rows[i][j] != 0:
-                raise StructureError(i, j, rows[i][j])
-    for n in range(N):
-        if rows[n + 1][n] != rows[n][n + 1]:
-            raise StructureError(n, n + 1, rows[n][n + 1] - rows[n + 1][n])
-    return TridiagonalForm(
-        d=tuple(rows[k][k] for k in range(N + 1)),
-        s=tuple(rows[k + 1][k] for k in range(N)),
-    )
-
-
 def delta_sequence(T: TridiagonalForm) -> DeltaSequence:
-    """Run the pivot recursion; a zero pivot stops it with a marker."""
-    deltas = [T.d[0]]
-    stopped_at = None
-    truncated = False
-    for n in range(1, T.N + 1):
-        prev = deltas[-1]
-        if prev == 0:
-            stopped_at = n - 1
-            truncated = True
-            break
-        deltas.append(T.d[n] - T.s[n - 1] ** 2 / prev)
-    else:
-        if deltas[-1] == 0:
-            stopped_at = T.N
+    """Run the integer continuant of T; a zero pivot stops it.
+
+    The first nonpositive pivot is the first X_n <= 0: every earlier X is
+    positive, and so are the scales.  The minimum pivot is tracked on float
+    images of X_n / (X_{n-1} e_n) taken from top bits; only pivots whose
+    images lie within _APPROX_TOL of the running minimum are compared
+    exactly.
+    """
+    scales = []
+    first_np = None
+    best = best_image = None
+    cur = 0
+    for n, step in enumerate(_continuant(T)):
+        cur = step[1]
+        scales.append(step[2])
+        if first_np is None and cur <= 0:
+            first_np = n
+        image = _approx_pivot(*step)
+        below = True if best is None else _clearly_below(image, best_image)
+        if below is None:
+            (num, den), (best_num, best_den) = _pivot(*step), _pivot(*best)
+            below = num * best_den < best_num * den
+        if below:
+            best, best_image = step, image
+    count = len(scales)
     return DeltaSequence(
-        deltas=tuple(deltas),
-        all_positive=all(x > 0 for x in deltas),
-        stopped_at=stopped_at,
-        truncated=truncated,
+        form=T,
+        first_nonpositive=first_np,
+        stopped_at=count - 1 if not cur else None,
+        truncated=count < len(T.d),
+        scales=tuple(scales),
+        last=cur,
+        minimum=_pivot(*best),
     )
 
 
@@ -375,20 +446,26 @@ def check_delta_bounds(T: TridiagonalForm, D: DeltaSequence,
     comparison is an exact rational one.
     """
     N = T.N
-    if not D.complete or len(D.deltas) != N + 1:
-        raise ValueError("bound check needs a complete delta sequence of length N+1")
+    if not D.complete or D.form != T:
+        raise ValueError("bound check needs the complete delta sequence of this form")
     floors = [floor.eval(n) for n in range(N)]
     for n, value in enumerate(floors):
         if value <= 0:
             raise ValueError(f"floor is not positive at n = {n}")
-    failures = tuple(n for n in range(N) if not D.deltas[n] > floors[n])
+    # delta_n > p/q is X_n q > p X_{n-1} e_n, with the pivot's denominator
+    # made positive.
+    failures = []
+    for n, step in enumerate(_continuant(T)):
+        num, den = _pivot(*step)
+        if n < N and not num * floors[n].denominator > floors[n].numerator * den:
+            failures.append(n)
     final_bound = T.d[N] - T.s[N - 1] ** 2 / floors[N - 1] if N else T.d[0]
     return BoundReport(
         checked_upto=N,
-        lower_bound_failures=failures,
-        final_delta=D.deltas[N],
+        lower_bound_failures=tuple(failures),
+        final_delta=Fraction(num, den),
         final_bound=final_bound,
-        final_ok=D.deltas[N] >= final_bound,
+        final_ok=num * final_bound.denominator >= final_bound.numerator * den,
     )
 
 
@@ -407,8 +484,10 @@ class CertificationReport:
     The verdict is CertifiedPositive only when every pivot (and, when run,
     every cross-checked minor) is strictly positive.  A zero pivot or a
     refused hypothesis yields Inconclusive, never a silent pass.  Timings
-    are diagnostics only and are excluded from the JSON form so identical
-    configurations serialize byte-identically.
+    hold the seconds of each stage that ran (hypotheses_s, build_section_s,
+    multipliers_s, tridiagonal_s, pivots_s, determinant_s, minimum_s,
+    bounds_s, minors_s); they are diagnostics only and are excluded from
+    the JSON form so identical configurations serialize byte-identically.
     """
 
     family: str
@@ -423,8 +502,13 @@ class CertificationReport:
     minors_agree: bool | None
     used_minors_fallback: bool
     notes: str
-    deltas: tuple[Fraction, ...] = ()
+    pivots: DeltaSequence | None = None
     timings: dict[str, float] = field(default_factory=dict, compare=False)
+
+    @property
+    def deltas(self) -> tuple[Fraction, ...]:
+        """The pivots of the tridiagonal route, () on the minors route."""
+        return () if self.pivots is None else self.pivots.deltas
 
     def to_json_dict(self) -> dict:
         return {
@@ -470,24 +554,28 @@ def certify(g: FactorableGenerators, N: int,
     timings: dict[str, float] = {}
     family = g.spec_string()
 
-    t0 = time.perf_counter()
+    def timed(stage, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        timings[stage] = time.perf_counter() - t0
+        return out
+
     try:
-        hypothesis = check_hypotheses(g, max(N, 1))
+        hypothesis = timed("hypotheses_s", check_hypotheses, g, max(N, 1))
     except IndexError:
         # The prefix checked is within w_0..w_{N+1}; say what Q_N needs.
         require_weights(g, MatrixKind.Q, N)
         raise
-    timings["hypotheses_s"] = time.perf_counter() - t0
 
     def build(verdict, det=None, min_delta=None, first_np=None, stopped=None,
               bound_report=None, minors_agree=None, fallback=False, notes="",
-              deltas=()):
+              pivots=None):
         return CertificationReport(
             family=family, N=N, verdict=verdict, hypothesis=hypothesis,
             determinant=det, min_delta=min_delta,
             first_nonpositive_delta=first_np, delta_stopped_at=stopped,
             bound_report=bound_report, minors_agree=minors_agree,
-            used_minors_fallback=fallback, notes=notes, deltas=deltas,
+            used_minors_fallback=fallback, notes=notes, pivots=pivots,
             timings=timings)
 
     if not hypothesis.all_passed and not options.override_hypotheses:
@@ -495,20 +583,17 @@ def certify(g: FactorableGenerators, N: int,
                      notes="refused: structural hypotheses violated on the "
                            "checked prefix (override to proceed)")
 
-    t0 = time.perf_counter()
-    Q = finite_section(g, MatrixKind.Q, N)
-    timings["build_section_s"] = time.perf_counter() - t0
+    Q = timed("build_section_s", finite_section, g, MatrixKind.Q, N)
 
-    deltas_obj = None
+    D = None
     fallback = False
     notes = []
     if not options.minors_only:
         try:
-            t0 = time.perf_counter()
-            z = [elimination_multiplier(Q, n) for n in range(N)]
-            T = tridiagonalize(Q, z)
-            deltas_obj = delta_sequence(T)
-            timings["tridiagonal_s"] = time.perf_counter() - t0
+            z = timed("multipliers_s",
+                      lambda: [elimination_multiplier(Q, n) for n in range(N)])
+            T = timed("tridiagonal_s", tridiagonalize, Q, z)
+            D = timed("pivots_s", delta_sequence, T)
         except (DegenerateFactorError, StructureError) as exc:
             fallback = True
             notes.append(f"tridiagonal route unavailable ({exc}); "
@@ -518,23 +603,22 @@ def certify(g: FactorableGenerators, N: int,
         notes.append("minors-only certification requested")
 
     if fallback:
-        t0 = time.perf_counter()
-        minors = leading_minors(Q)
-        timings["minors_s"] = time.perf_counter() - t0
+        minors = timed("minors_s", leading_minors, Q)
         verdict, why = _verdict_from_minors(minors)
         notes.append(why)
         return build(verdict, det=minors[-1], minors_agree=None, fallback=True,
                      notes="; ".join(notes))
 
-    assert deltas_obj is not None
-    det = deltas_obj.determinant()
-    min_delta = deltas_obj.min_delta
-    first_np = deltas_obj.first_nonpositive
+    assert D is not None
+    det = timed("determinant_s", D.determinant)
+    min_delta = timed("minimum_s", lambda: D.min_delta)
+    first_np = D.first_nonpositive
 
     if first_np is None:
         verdict = Verdict.CERTIFIED_POSITIVE
         notes.append("all pivots positive")
-    elif deltas_obj.deltas[first_np] < 0:
+    elif D.stopped_at != first_np:
+        # A zero pivot stops the recursion where it occurs.
         verdict = Verdict.NOT_POSITIVE
         notes.append(f"pivot {first_np} is negative")
     else:
@@ -545,10 +629,8 @@ def certify(g: FactorableGenerators, N: int,
     bound_report = None
     if options.bounds:
         floor = known_floor(g.weights)
-        if floor is not None and deltas_obj.complete:
-            t0 = time.perf_counter()
-            bound_report = check_delta_bounds(T, deltas_obj, floor)
-            timings["bounds_s"] = time.perf_counter() - t0
+        if floor is not None and D.complete:
+            bound_report = timed("bounds_s", check_delta_bounds, T, D, floor)
             notes.append("delta floors hold" if bound_report.all_ok
                          else "delta floor comparisons FAILED")
         else:
@@ -556,9 +638,7 @@ def certify(g: FactorableGenerators, N: int,
 
     minors_agree = None
     if options.cross_check_minors:
-        t0 = time.perf_counter()
-        minors = leading_minors(Q)
-        timings["minors_s"] = time.perf_counter() - t0
+        minors = timed("minors_s", leading_minors, Q)
         minors_agree = (all(m > 0 for m in minors) == (verdict is Verdict.CERTIFIED_POSITIVE)
                         and (det is None or minors[-1] == det))
         if not minors_agree:
@@ -568,6 +648,6 @@ def certify(g: FactorableGenerators, N: int,
             notes.append("minor cross-check agrees")
 
     return build(verdict, det=det, min_delta=min_delta, first_np=first_np,
-                 stopped=deltas_obj.stopped_at, bound_report=bound_report,
+                 stopped=D.stopped_at, bound_report=bound_report,
                  minors_agree=minors_agree, fallback=False,
-                 notes="; ".join(notes), deltas=deltas_obj.deltas)
+                 notes="; ".join(notes), pivots=D)

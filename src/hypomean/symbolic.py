@@ -131,19 +131,6 @@ def _prefix_sum_poly(term: Polynomial) -> Polynomial:
     return p
 
 
-def power_sum(weights, var: str = "j") -> Polynomial:
-    """Closed form of sum_{k=0}^{j} (alpha*k + beta)^2 as a polynomial in j."""
-    w = _require_linear(weights)
-    term = Polynomial((w.beta, w.alpha), var)
-    return _prefix_sum_poly(term * term)
-
-
-def partial_sum_poly(weights, var: str = "i") -> Polynomial:
-    """Closed form of W_i = sum_{k=0}^{i} (alpha*k + beta) as a polynomial."""
-    w = _require_linear(weights)
-    return _prefix_sum_poly(Polynomial((w.beta, w.alpha), var))
-
-
 def _family_polys(w: LinearWeights, var: str):
     one_shift = Polynomial((1, 1), var)
     c = Polynomial((w.beta, w.alpha), var)

@@ -9,6 +9,7 @@ decisions, so weights are Fractions and all derived values stay exact.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,6 @@ class LinearWeights:
 
     alpha: Fraction
     beta: Fraction
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _to_fraction(self.alpha))
@@ -56,9 +56,6 @@ class LinearWeights:
     def spec_string(self) -> str:
         return f"linear:{format_rational(self.alpha)},{format_rational(self.beta)}"
 
-    def describe(self) -> str:
-        return self.label or self.spec_string()
-
 
 @dataclass(frozen=True)
 class TableWeights:
@@ -69,7 +66,6 @@ class TableWeights:
     """
 
     values: tuple[Fraction, ...]
-    label: str = ""
 
     def __post_init__(self):
         vals = tuple(_to_fraction(v) for v in self.values)
@@ -91,9 +87,6 @@ class TableWeights:
 
     def spec_string(self) -> str:
         return "table:" + ",".join(format_rational(v) for v in self.values)
-
-    def describe(self) -> str:
-        return self.label or self.spec_string()
 
 
 WeightSequence = LinearWeights | TableWeights
@@ -119,55 +112,91 @@ def parse_weight_spec(spec: str) -> WeightSequence:
 class FactorableGenerators:
     """Derived sequences of a weight sequence, memoized for reuse.
 
-    Caches the partial sums W_i, the row factors a_i = 1/W_i and the prefix
-    sums of c_k^2, which appear in every closed-form matrix entry, and the
-    columns of the auxiliary factor B, which the finite-sum oracle for P
-    reads.  The caches only ever grow and are extended under a lock, so
-    concurrent readers are safe; they live as long as this object.
+    One integer scale lambda, the least common denominator of the weights
+    (of alpha and beta, or of the whole table), turns the generators into
+    integers: c^_k = lambda w_k, W^_k = lambda W_k and S^_k = lambda^2 S_k,
+    where W_k and S_k are the prefix sums of w and of w^2.  The closed-form
+    entries of Q are read from these integers, so the fast paths build a
+    Fraction only for a value they keep.  The weights, the row factors
+    a_i = 1/W_i and the columns of the auxiliary factor B, which the
+    finite-sum oracle for P reads, are memoized as Fractions.  The caches
+    only ever grow and are extended under a lock, so concurrent readers
+    are safe; they live as long as this object.
     """
 
     def __init__(self, weights: WeightSequence):
         self.weights = weights
-        self._W: list[Fraction] = []
+        linear = isinstance(weights, LinearWeights)
+        values = (weights.alpha, weights.beta) if linear else weights.values
+        self.scale = math.lcm(*(v.denominator for v in values))
+        # (lambda alpha, lambda beta) for linear weights, None for a table.
+        self._linear = (tuple(int(v * self.scale) for v in values) if linear
+                        else None)
+        self._hat: list[tuple[int, int, int]] = []
+        self._w: list[Fraction] = []
         self._a: list[Fraction] = []
-        self._S: list[Fraction] = []
         self._B: dict[int, tuple[Fraction, ...]] = {}
         self._lock = threading.Lock()
 
+    def _scaled_weight(self, k: int) -> int:
+        if self._linear is not None:
+            alpha, beta = self._linear
+            return alpha * k + beta
+        w = self.weights.weight(k)
+        return w.numerator * (self.scale // w.denominator)
+
     def _ensure(self, upto: int) -> None:
-        # _a is extended last: once it covers `upto`, W and S do too.
-        if len(self._a) > upto:
-            return
         with self._lock:
-            while len(self._a) <= upto:
-                k = len(self._a)
-                w = self.weights.weight(k)
+            while len(self._hat) <= upto:
+                k = len(self._hat)
+                c = self._scaled_weight(k)
                 if k == 0:
-                    self._W.append(w)
-                    self._S.append(w * w)
+                    self._hat.append((c, c, c * c))
                 else:
-                    self._W.append(self._W[-1] + w)
-                    self._S.append(self._S[-1] + w * w)
-                self._a.append(1 / self._W[-1])
+                    _, W, S = self._hat[-1]
+                    self._hat.append((c, W + c, S + c * c))
+
+    def _ensure_fractions(self, upto: int) -> None:
+        # _a is extended last: once it covers `upto`, _w does too.
+        self.scaled(upto)
+        with self._lock:
+            lam = self.scale
+            while len(self._a) <= upto:
+                c, W, _ = self._hat[len(self._a)]
+                self._w.append(Fraction(c, lam))
+                self._a.append(Fraction(lam, W))
+
+    def scaled(self, k: int) -> tuple[int, int, int]:
+        """The integers (c^_k, W^_k, S^_k) = (lambda w_k, lambda W_k,
+        lambda^2 S_k), memoized."""
+        if k < 0:
+            raise IndexError("weight index must be nonnegative")
+        if k >= len(self._hat):
+            self._ensure(k)
+        return self._hat[k]
 
     def weight(self, n: int) -> Fraction:
-        return self.weights.weight(n)
+        """w_n, memoized."""
+        if n < 0:
+            raise IndexError("weight index must be nonnegative")
+        if n >= len(self._a):
+            self._ensure_fractions(n)
+        return self._w[n]
 
-    def c(self, j: int) -> Fraction:
-        return self.weights.weight(j)
+    c = weight
 
     def partial_sum(self, i: int) -> Fraction:
         """W_i = sum of w_0..w_i, exact and O(1) after the first call."""
         if i < 0:
             raise IndexError("partial sum index must be nonnegative")
-        self._ensure(i)
-        return self._W[i]
+        return Fraction(self.scaled(i)[1], self.scale)
 
     def a(self, i: int) -> Fraction:
-        """a_i = 1/W_i, memoized alongside W."""
+        """a_i = 1/W_i, memoized."""
         if i < 0:
             raise IndexError("row factor index must be nonnegative")
-        self._ensure(i)
+        if i >= len(self._a):
+            self._ensure_fractions(i)
         return self._a[i]
 
     def generators(self, i: int) -> tuple[Fraction, Fraction]:
@@ -175,11 +204,10 @@ class FactorableGenerators:
         return self.a(i), self.c(i)
 
     def c_squared_sum(self, j: int) -> Fraction:
-        """Prefix sum c_0^2 + ... + c_j^2, memoized alongside W."""
+        """Prefix sum c_0^2 + ... + c_j^2."""
         if j < 0:
             raise IndexError("prefix sum index must be nonnegative")
-        self._ensure(j)
-        return self._S[j]
+        return Fraction(self.scaled(j)[2], self.scale ** 2)
 
     def b_column(self, j: int) -> tuple[Fraction, ...]:
         """Column j of the auxiliary factor B down to its last nonzero
@@ -187,13 +215,18 @@ class FactorableGenerators:
 
         With r = a_{j+1}/a_j the entries are c_i (1/c_j - r/c_{j+1}) for
         i <= j and -r for i = j+1; matrices.b_entry computes a single entry
-        from the same definition and is the reference for this memo.
+        from that definition and is the reference for this memo.  In the
+        integer generators the scale cancels:
+        c_i (1/c_j - r/c_{j+1}) = c^_i (c^_{j+1} W^_{j+1} - c^_j W^_j)
+        / (c^_j c^_{j+1} W^_{j+1}) and r = W^_j / W^_{j+1}.
         """
         column = self._B.get(j)
         if column is None:
-            ratio = self.a(j + 1) / self.a(j)
-            scale = 1 / self.c(j) - ratio / self.c(j + 1)
-            column = tuple(self.c(i) * scale for i in range(j + 1)) + (-ratio,)
+            c, W, _ = self.scaled(j)
+            c1, W1, _ = self.scaled(j + 1)
+            num, den = c1 * W1 - c * W, c * c1 * W1
+            column = tuple(Fraction(self._hat[i][0] * num, den) for i in range(j + 1))
+            column += (-Fraction(W, W1),)
             with self._lock:
                 column = self._B.setdefault(j, column)
         return column
@@ -259,30 +292,21 @@ def check_hypotheses(g: FactorableGenerators, N: int) -> HypothesisReport:
 
     Pair checks stop at N-1 so a table of N+1 entries can be checked over
     its whole prefix.  A zero column factor (c_n == 0) counts as a
-    violation of the ratio check at that index.
+    violation of the ratio check at that index.  Every check is an integer
+    comparison of the scaled generators: a_n > 0 is W^_n > 0, and since
+    W_n > 0, a_{n+1} < a_n is W^_{n+1} > W^_n and a_{n+1}/c_{n+1} < a_n/c_n
+    (with both c positive) is W^_n c^_n < W^_{n+1} c^_{n+1}.
     """
     if N < 1:
         raise ValueError("hypothesis check needs N >= 1")
+    hat = [g.scaled(n) for n in range(N + 1)]
 
-    a_pos_viol = None
-    for n in range(N + 1):
-        if g.a(n) <= 0:
-            a_pos_viol = n
-            break
-
-    a_dec_viol = None
-    for n in range(N):
-        if not g.a(n + 1) < g.a(n):
-            a_dec_viol = n
-            break
-
+    a_pos_viol = next((n for n, (_, W, _) in enumerate(hat) if W <= 0), None)
+    a_dec_viol = next((n for n in range(N) if not hat[n + 1][1] > hat[n][1]), None)
     ratio_viol = None
     for n in range(N):
-        cn, cn1 = g.c(n), g.c(n + 1)
-        if cn <= 0 or cn1 <= 0:
-            ratio_viol = n
-            break
-        if not g.a(n + 1) / cn1 < g.a(n) / cn:
+        (cn, Wn, _), (cn1, Wn1, _) = hat[n], hat[n + 1]
+        if cn <= 0 or cn1 <= 0 or not Wn * cn < Wn1 * cn1:
             ratio_viol = n
             break
 

@@ -27,6 +27,36 @@ class TestCertifyUsageErrors:
         assert "weight table has 2 entries" in err
 
 
+class TestZeroWeights:
+    """A weight of zero that a section divides by is named in the error."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["certify", "--weights", "table:1,2,0,3", "--N", "1"], "Q_1 divides by w_2 = 0"),
+        (["certify", "--weights", "table:1,0,2,3", "--N", "1", "--override-hypotheses"],
+         "Q_1 divides by w_1 = 0"),
+        (["dump", "--kind", "Q", "--weights", "table:1,0,2", "--N", "1"],
+         "Q_1 divides by w_1 = 0"),
+        (["dump", "--kind", "B", "--weights", "table:1,0,2", "--N", "1"],
+         "B_1 divides by w_1 = 0"),
+        (["dump", "--kind", "P-closed", "--weights", "table:1,2,0,3", "--N", "1"],
+         "P-closed_1 divides by w_2 = 0"),
+        (["dump", "--kind", "P-oracle", "--weights", "table:1,2,0,3", "--N", "1"],
+         "P-oracle_1 divides by w_2 = 0"),
+    ])
+    def test_error_names_the_weight(self, args, message, capsys):
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err == f"hypomean: error: {message}\n"
+
+    def test_mean_matrix_divides_by_no_weight(self, capsys):
+        assert main(["dump", "--kind", "M", "--weights", "table:1,0,2", "--N", "1"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["entries"] == [["1", "0"], ["1", "0"]]
+
+    def test_refusal_comes_before_the_zero_weight(self, capsys):
+        args = ["certify", "--weights", "table:1,0,2,3", "--N", "1"]
+        assert main(args) == EXIT_INCONCLUSIVE
+        assert "refused" in json.loads(capsys.readouterr().out)["notes"]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("args, code", [
         (["dump", "--N", "2", "--kind", "M"], EXIT_OK),

@@ -1,11 +1,13 @@
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hypomean.positivity as positivity
 from hypomean import (
+    BoundReport,
     CertifyOptions,
     DegenerateFactorError,
     DeltaSequence,
@@ -27,6 +29,7 @@ from hypomean import (
     finite_section,
     leading_minors,
     odd_delta_floor,
+    parse_weight_spec,
     q_entry,
     s_closed_odd,
     symbolic_q,
@@ -50,11 +53,96 @@ def _dense(section) -> ExactMatrix:
     return ExactMatrix(section.entries, symmetric=True)
 
 
-def _tridiagonal_outcome(Q, z):
+def _tridiagonalize_dense(Q: ExactMatrix, z) -> TridiagonalForm:
+    """Dense oracle for tridiagonalize: Y = Z^T Q Z by a column pass then a
+    row pass, in place, on the dense entries, then an entrywise check.
+
+    Each step only reads a column or row that has not been modified yet,
+    so the passes run in increasing order.
+    """
+    N = Q.n_rows - 1
+    rows = [list(r) for r in Q.entries]
+    for n in range(N):
+        for i in range(N + 1):
+            rows[i][n] -= z[n] * rows[i][n + 1]
+    for m in range(N):
+        for j in range(N + 1):
+            rows[m][j] -= z[m] * rows[m + 1][j]
+    for i in range(N + 1):
+        for j in range(N + 1):
+            if abs(i - j) > 1 and rows[i][j] != 0:
+                raise StructureError(i, j, rows[i][j])
+    for n in range(N):
+        if rows[n + 1][n] != rows[n][n + 1]:
+            raise StructureError(n, n + 1, rows[n][n + 1] - rows[n + 1][n])
+    return TridiagonalForm(d=tuple(rows[k][k] for k in range(N + 1)),
+                           s=tuple(rows[k + 1][k] for k in range(N)))
+
+
+def _tridiagonal_outcome(reduce, Q, z):
     try:
-        return tridiagonalize(Q, z)
+        return reduce(Q, z)
     except StructureError as exc:
         return ("StructureError", exc.position, exc.value)
+
+
+def _pivot_oracle(T: TridiagonalForm) -> dict:
+    """The plain Fraction pivot recursion delta_n = d_n - s_{n-1}^2 /
+    delta_{n-1}, stopped by a zero pivot, and every field read from it."""
+    deltas = [T.d[0]]
+    stopped_at, truncated = None, False
+    for n in range(1, T.N + 1):
+        if deltas[-1] == 0:
+            stopped_at, truncated = n - 1, True
+            break
+        deltas.append(T.d[n] - T.s[n - 1] ** 2 / deltas[-1])
+    else:
+        if deltas[-1] == 0:
+            stopped_at = T.N
+    determinant = None
+    if not truncated:
+        determinant = F(1)
+        for x in deltas:
+            determinant *= x
+    return {
+        "deltas": tuple(deltas),
+        "determinant": determinant,
+        "min_delta": min(deltas),
+        "first_nonpositive": next((k for k, x in enumerate(deltas) if x <= 0), None),
+        "stopped_at": stopped_at,
+        "truncated": truncated,
+        "all_positive": all(x > 0 for x in deltas),
+    }
+
+
+def _pivot_fields(D: DeltaSequence) -> dict:
+    return {
+        "deltas": D.deltas,
+        "determinant": D.determinant(),
+        "min_delta": D.min_delta,
+        "first_nonpositive": D.first_nonpositive,
+        "stopped_at": D.stopped_at,
+        "truncated": D.truncated,
+        "all_positive": D.all_positive,
+    }
+
+
+def _q_oracle(weights, N: int) -> ExactMatrix:
+    """Q_N = I - B*B from the definition of B in Fractions, computed from
+    the weights alone."""
+    w = [weights.weight(k) for k in range(N + 2)]
+    W = list(accumulate(w))
+
+    def b(i, j):
+        if i > j + 1:
+            return F(0)
+        ratio = W[j] / W[j + 1]
+        return -ratio if i == j + 1 else w[i] * (1 / w[j] - ratio / w[j + 1])
+
+    B = [[b(i, j) for j in range(N + 1)] for i in range(N + 2)]
+    return ExactMatrix(tuple(
+        tuple(int(i == j) - sum(B[k][i] * B[k][j] for k in range(N + 2))
+              for j in range(N + 1)) for i in range(N + 1)), symmetric=True)
 
 
 @st.composite
@@ -97,6 +185,30 @@ def _symmetric_matrices(draw):
     upper = {(i, j): draw(value) for i in range(n) for j in range(i, n)}
     return ExactMatrix(tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n))
                              for i in range(n)), symmetric=True)
+
+
+_SMALL_RATIONALS = st.one_of(st.just(F(0)), st.integers(-3, 3).map(F),
+                             st.fractions(-3, 3, max_denominator=6))
+# Far apart in size, so that pivot images leave the float range.
+_WIDE_RATIONALS = st.one_of(
+    st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+    st.builds(lambda sign, k: sign * F(2) ** k,
+              st.sampled_from((1, -1)), st.integers(-1100, 1100)))
+
+
+@st.composite
+def _tridiagonal_forms(draw):
+    """Random forms with N <= 9: mostly small rationals with zeros, so that
+    pivots vanish or turn negative mid-way; some with entries of very
+    different sizes; and some constant, so that pivots tie."""
+    N = draw(st.integers(0, 9))
+    shape = draw(st.sampled_from(("small", "small", "wide", "constant")))
+    if shape == "constant":
+        return TridiagonalForm(d=(draw(_SMALL_RATIONALS),) * (N + 1), s=(F(0),) * N)
+    value = _SMALL_RATIONALS if shape == "small" else st.one_of(
+        _SMALL_RATIONALS, _WIDE_RATIONALS)
+    return TridiagonalForm(d=tuple(draw(value) for _ in range(N + 1)),
+                           s=tuple(draw(value) for _ in range(N)))
 
 
 class TestEliminationMultiplier:
@@ -183,25 +295,29 @@ class TestFactoredTridiagonalize:
     def test_matches_dense_elimination(self, case):
         section, z = case
         assert isinstance(section, FactoredSection)
-        assert (_tridiagonal_outcome(section, z)
-                == _tridiagonal_outcome(_dense(section), z))
+        assert (_tridiagonal_outcome(tridiagonalize, section, z)
+                == _tridiagonal_outcome(_tridiagonalize_dense, _dense(section), z))
 
     @given(case=_random_factors_with_multipliers())
     @settings(max_examples=150, deadline=None)
     def test_matches_dense_elimination_on_arbitrary_factors(self, case):
         section, z = case
-        assert (_tridiagonal_outcome(section, z)
-                == _tridiagonal_outcome(_dense(section), z))
+        assert (_tridiagonal_outcome(tridiagonalize, section, z)
+                == _tridiagonal_outcome(_tridiagonalize_dense, _dense(section), z))
 
     @pytest.mark.parametrize("N", [0, 1, 2, 7, 31, 60])
     def test_certify_deltas_match_dense_route(self, N):
         for g in EQUIVALENCE_FAMILIES:
             section = finite_section(g, MatrixKind.Q, N)
             z = [elimination_multiplier(section, n) for n in range(N)]
-            dense = delta_sequence(tridiagonalize(_dense(section), z))
+            dense = _pivot_oracle(_tridiagonalize_dense(_dense(section), z))
             report = certify(g, N)
-            assert report.deltas == dense.deltas
-            assert report.determinant == dense.determinant()
+            assert report.deltas == dense["deltas"]
+            assert report.determinant == dense["determinant"]
+
+    def test_dense_input_is_rejected(self, odd_gens):
+        with pytest.raises(TypeError, match="FactoredSection"):
+            tridiagonalize(_dense(finite_section(odd_gens, MatrixKind.Q, 2)), [F(1)] * 2)
 
 
 class TestDeltaSequence:
@@ -236,6 +352,30 @@ class TestDeltaSequence:
         assert D.deltas == (F(1), F(-3))
         assert D.first_nonpositive == 1
         assert D.determinant() == F(-3)
+
+
+    @given(T=_tridiagonal_forms())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_fraction_recursion(self, T):
+        assert _pivot_fields(delta_sequence(T)) == _pivot_oracle(T)
+
+    def test_single_entry(self):
+        for value in (F(3, 7), F(0), F(-2)):
+            T = TridiagonalForm(d=(value,), s=())
+            assert _pivot_fields(delta_sequence(T)) == _pivot_oracle(T)
+
+    def test_minimum_between_pivots_closer_than_their_images(self):
+        # After the negative first pivot X_0 < 0, so the ratio of the second
+        # has a negative denominator, and it is compared exactly.
+        close = -1 - F(1, 2 ** 60)
+        D = delta_sequence(TridiagonalForm(d=(F(-1), close, F(-1)), s=(F(0),) * 2))
+        assert D.min_delta == close
+
+    def test_minimum_far_outside_the_float_range(self):
+        tiny, huge = F(1, 2 ** 1100), F(2 ** 1100)
+        D = delta_sequence(TridiagonalForm(d=(huge, tiny, F(3), tiny), s=(F(0),) * 3))
+        assert D.min_delta == tiny
+        assert D.deltas == (huge, tiny, F(3), tiny)
 
 
 class TestLeadingMinors:
@@ -358,6 +498,88 @@ class TestDeltaBounds:
             check_delta_bounds(T, delta_sequence(T), negative)
 
 
+def _bounds_oracle(T: TridiagonalForm, floor: RationalFunction) -> BoundReport:
+    deltas, N = _pivot_oracle(T)["deltas"], T.N
+    floors = [floor.eval(n) for n in range(N)]
+    final_bound = T.d[N] - T.s[N - 1] ** 2 / floors[N - 1] if N else T.d[0]
+    return BoundReport(
+        checked_upto=N,
+        lower_bound_failures=tuple(n for n in range(N) if not deltas[n] > floors[n]),
+        final_delta=deltas[N],
+        final_bound=final_bound,
+        final_ok=deltas[N] >= final_bound,
+    )
+
+
+_NATURAL_FLOOR = RationalFunction(Polynomial((9,)), Polynomial((20, 10)))
+
+
+class TestDeltaBoundsAgainstFractions:
+    """check_delta_bounds cross-multiplies integers; the reference compares
+    the Fraction pivots of the plain recursion."""
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 20, 60])
+    @pytest.mark.parametrize("spec, floor", [
+        ("linear:2,1", odd_delta_floor()),
+        ("linear:1,1", _NATURAL_FLOOR),
+        # Pivots turn negative, so some X_{n-1} are negative.
+        ("linear:1,5", _NATURAL_FLOOR),
+    ])
+    def test_matches_the_fraction_reference(self, spec, floor, N):
+        T = _tridiagonal(FactorableGenerators(parse_weight_spec(spec)), N)
+        assert check_delta_bounds(T, delta_sequence(T), floor) == _bounds_oracle(T, floor)
+
+    @given(T=_tridiagonal_forms())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_fraction_reference_on_random_forms(self, T):
+        D = delta_sequence(T)
+        assume(D.complete)
+        assert check_delta_bounds(T, D, _NATURAL_FLOOR) == _bounds_oracle(T, _NATURAL_FLOOR)
+
+    def test_rejects_the_pivots_of_another_form(self, odd_gens):
+        T, other = _tridiagonal(odd_gens, 3), _tridiagonal(FactorableGenerators(
+            LinearWeights(1, 1)), 3)
+        with pytest.raises(ValueError, match="this form"):
+            check_delta_bounds(T, delta_sequence(other), odd_delta_floor())
+
+
+# Integer scale 1 for none of these: the scaled generators carry lambda.
+_RATIONAL_WEIGHTS = (
+    "linear:3/7,5/2",
+    "linear:9/4,1/8",
+    "table:" + ",".join(f"{k % 7 + 1}/{k % 5 + 2}" for k in range(32)),
+    "table:" + ",".join(f"{2 * k + 3}/{k % 3 + 2}" for k in range(32)),
+)
+
+
+class TestCertifyAgainstFractions:
+    """The integer route against a slow path that shares none of it: Q from
+    the definition of B in Fractions, dense elimination, and the plain
+    Fraction pivot recursion."""
+
+    @pytest.mark.parametrize("N", [0, 1, 7, 30])
+    @pytest.mark.parametrize("spec", _RATIONAL_WEIGHTS)
+    def test_report_matches_the_oracle(self, spec, N):
+        weights = parse_weight_spec(spec)
+        g = FactorableGenerators(weights)
+        assert g.scale != 1
+        report = certify(g, N, CertifyOptions(override_hypotheses=True))
+        assert not report.used_minors_fallback
+        Q = finite_section(g, MatrixKind.Q, N)
+        z = [elimination_multiplier(Q, n) for n in range(N)]
+        oracle = _pivot_oracle(_tridiagonalize_dense(_q_oracle(weights, N), z))
+        assert report.deltas == oracle["deltas"]
+        assert report.determinant == oracle["determinant"]
+        assert report.min_delta == oracle["min_delta"]
+        assert report.first_nonpositive_delta == oracle["first_nonpositive"]
+        assert report.delta_stopped_at == oracle["stopped_at"]
+        first = oracle["first_nonpositive"]
+        expected = (Verdict.CERTIFIED_POSITIVE if first is None
+                    else Verdict.NOT_POSITIVE if oracle["deltas"][first] < 0
+                    else Verdict.INCONCLUSIVE)
+        assert report.verdict is expected
+
+
 class TestCertify:
     def test_flagship_n0(self, odd_gens):
         report = certify(odd_gens, 0)
@@ -458,6 +680,35 @@ class TestCertify:
         assert scaled.deltas == base.deltas
         assert scaled.determinant == base.determinant
         assert scaled.verdict is base.verdict
+
+    PIVOT_STAGES = {"hypotheses_s", "build_section_s", "multipliers_s",
+                    "tridiagonal_s", "pivots_s", "determinant_s", "minimum_s"}
+
+    def test_timings_name_each_stage_that_ran(self, odd_gens):
+        def stages(options=None, g=odd_gens, N=12):
+            report = certify(g, N, options)
+            assert all(seconds >= 0 for seconds in report.timings.values())
+            return set(report.timings)
+
+        assert stages() == self.PIVOT_STAGES
+        assert stages(CertifyOptions(bounds=True, cross_check_minors=True)) == (
+            self.PIVOT_STAGES | {"bounds_s", "minors_s"})
+        assert stages(CertifyOptions(minors_only=True)) == {
+            "hypotheses_s", "build_section_s", "minors_s"}
+        # A vanishing column factor stops the multipliers: minors fallback.
+        assert stages(CertifyOptions(override_hypotheses=True), N=3, g=FactorableGenerators(
+            TableWeights((1, 2, 4, 3, 3)))) == {"hypotheses_s", "build_section_s", "minors_s"}
+        refused = FactorableGenerators(TableWeights((1, F(1, 100), F(1, 100))))
+        assert stages(g=refused, N=0) == {"hypotheses_s"}
+
+    def test_timings_stay_out_of_the_json(self, odd_gens):
+        for options in (None, CertifyOptions(bounds=True, cross_check_minors=True),
+                        CertifyOptions(minors_only=True)):
+            report = certify(odd_gens, 5, options)
+            assert report.timings
+            text = repr(report.to_json_dict())
+            assert "timings" not in text
+            assert not any(stage in text for stage in report.timings)
 
     def test_report_json_shape(self, odd_gens):
         payload = certify(odd_gens, 3).to_json_dict()
