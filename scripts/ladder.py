@@ -2,7 +2,7 @@
 peak memory at N = 10^3, 2*10^3, 5*10^3 and 10^4 on linear:2,1 and
 linear:1,1.
 
-    python3 scripts/ladder.py [--src DIR] [--cap SECONDS] [--json PATH --label NAME]
+    python3 scripts/ladder.py [--src DIR] [--json PATH --label NAME]
 
 Each point runs in fresh Python processes that import hypomean from DIR
 (default: the src/ of this checkout), so two checkouts can be measured
@@ -12,8 +12,8 @@ the largest bit size of the continuant values X_n (when the checkout has
 them) and the bit size of the last pivot delta_N (numerator plus
 denominator).  A second process repeats the call under tracemalloc for the
 peak of traced memory; it is skipped when the first hit the cap.  A
-process that runs longer than --cap seconds is stopped and its point is
-marked "capped".
+process that runs longer than CAP_S = 120 seconds is stopped and its point
+is marked "capped".
 
 With --json, the run is stored under NAME in that file, next to the runs
 already there; otherwise it is printed.  Standard library only.
@@ -31,6 +31,7 @@ from pathlib import Path
 
 LADDER = [(spec, N) for spec in ("linear:2,1", "linear:1,1")
           for N in (1000, 2000, 5000, 10000)]
+CAP_S = 120.0
 
 
 def _measure(spec: str, N: int, memory: bool) -> dict:
@@ -69,13 +70,13 @@ def _measure(spec: str, N: int, memory: bool) -> dict:
     return out
 
 
-def _run_point(src: Path, spec: str, N: int, memory: bool, cap: float) -> dict | None:
+def _run_point(src: Path, spec: str, N: int, memory: bool) -> dict | None:
     """The point's result from a fresh process, or None past the cap."""
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = [sys.executable, __file__, "--point", spec, str(N)] + (["--memory"] if memory else [])
     try:
         proc = subprocess.run(argv, env=env, capture_output=True, text=True,
-                              timeout=cap, check=True)
+                              timeout=CAP_S, check=True)
     except subprocess.TimeoutExpired:
         return None
     return json.loads(proc.stdout)
@@ -85,8 +86,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path,
                         default=Path(__file__).resolve().parent.parent / "src")
-    parser.add_argument("--cap", type=float, default=600.0,
-                        help="seconds after which a point's process is stopped")
     parser.add_argument("--json", type=Path, default=None)
     parser.add_argument("--label", default="run")
     parser.add_argument("--point", nargs=2, metavar=("SPEC", "N"), help=argparse.SUPPRESS)
@@ -101,17 +100,17 @@ def main() -> None:
     points = []
     for spec, N in LADDER:
         point = {"weights": spec, "N": N}
-        timed = _run_point(args.src, spec, N, False, args.cap)
+        timed = _run_point(args.src, spec, N, False)
         if timed is None:
             point["capped"] = True
         else:
             point.update(timed, capped=False)
-            point.update(_run_point(args.src, spec, N, True, args.cap)
+            point.update(_run_point(args.src, spec, N, True)
                          or {"tracemalloc_peak_mb": None})
         points.append(point)
         print(json.dumps(point), file=sys.stderr)
     run = {"python": platform.python_version(), "nproc": os.cpu_count(),
-           "cap_s": args.cap, "points": points}
+           "cap_s": CAP_S, "points": points}
     if args.json is None:
         print(json.dumps(run, indent=2))
         return

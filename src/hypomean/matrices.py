@@ -286,7 +286,7 @@ def require_weights(g: FactorableGenerators, kind: MatrixKind, N: int) -> None:
     # and divides by each of w_0..w_{N+1}.
     top = N if kind is MatrixKind.M else N + 1
     try:
-        g.partial_sum(top)
+        g.scaled(top)
     except IndexError as exc:
         raise IndexError(
             f"{kind.value}_{N} needs the weights w_0..w_{top}: {exc}") from None

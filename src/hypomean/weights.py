@@ -126,30 +126,21 @@ class FactorableGenerators:
 
     def __init__(self, weights: WeightSequence):
         self.weights = weights
-        linear = isinstance(weights, LinearWeights)
-        values = (weights.alpha, weights.beta) if linear else weights.values
+        values = ((weights.alpha, weights.beta) if isinstance(weights, LinearWeights)
+                  else weights.values)
         self.scale = math.lcm(*(v.denominator for v in values))
-        # (lambda alpha, lambda beta) for linear weights, None for a table.
-        self._linear = (tuple(int(v * self.scale) for v in values) if linear
-                        else None)
         self._hat: list[tuple[int, int, int]] = []
         self._w: list[Fraction] = []
         self._a: list[Fraction] = []
         self._B: dict[int, tuple[Fraction, ...]] = {}
         self._lock = threading.Lock()
 
-    def _scaled_weight(self, k: int) -> int:
-        if self._linear is not None:
-            alpha, beta = self._linear
-            return alpha * k + beta
-        w = self.weights.weight(k)
-        return w.numerator * (self.scale // w.denominator)
-
     def _ensure(self, upto: int) -> None:
         with self._lock:
             while len(self._hat) <= upto:
                 k = len(self._hat)
-                c = self._scaled_weight(k)
+                w = self.weights.weight(k)
+                c = w.numerator * (self.scale // w.denominator)
                 if k == 0:
                     self._hat.append((c, c, c * c))
                 else:
