@@ -1,19 +1,25 @@
-"""Scaling ladder for `certify`: wall time, stage timings, bit sizes and
-peak memory at N = 10^3, 2*10^3, 5*10^3 and 10^4 on linear:2,1 and
-linear:1,1.
+"""Scaling ladders for `certify`: wall time, stage timings, bit sizes and
+peak memory.
+
+The pivot ladder runs the default route at N = 10^3, 2*10^3, 5*10^3 and
+10^4 on linear:2,1 and linear:1,1.  The dense ladder runs the exact
+reference paths on linear:2,1 and linear:3,1: `certify` with the minor
+cross-check at N = 50, 100 and 200, and the section of the finite-sum P
+oracle (`dump --kind P-oracle`) at N = 50 and 100.
 
     python3 scripts/ladder.py [--src DIR] [--json PATH --label NAME]
 
 Each point runs in fresh Python processes that import hypomean from DIR
 (default: the src/ of this checkout), so two checkouts can be measured
-with one harness.  A first process times `certify(g, N)` plus the JSON
-serialization of its report, and records the report's per-stage timings,
-the largest bit size of the continuant values X_n (when the checkout has
-them) and the bit size of the last pivot delta_N (numerator plus
-denominator).  A second process repeats the call under tracemalloc for the
-peak of traced memory; it is skipped when the first hit the cap.  A
-process that runs longer than CAP_S = 120 seconds is stopped and its point
-is marked "capped".
+with one harness.  A first process times the call plus the JSON
+serialization of its output.  For a pivot point it records the report's
+per-stage timings, the largest bit size of the continuant values X_n (when
+the checkout has them) and the bit size of the last pivot delta_N
+(numerator plus denominator); for a dense point, the report's timings
+(`minors_s` among them) or the size of the dumped text.  A second process
+repeats the call under tracemalloc for the peak of traced memory; it is
+skipped when the first hit the cap.  A process that runs longer than
+CAP_S = 120 seconds is stopped and its point is marked "capped".
 
 With --json, the run is stored under NAME in that file, next to the runs
 already there; otherwise it is printed.  Standard library only.
@@ -29,9 +35,45 @@ import subprocess
 import sys
 from pathlib import Path
 
-LADDER = [(spec, N) for spec in ("linear:2,1", "linear:1,1")
+LADDER = [("pivots", spec, N) for spec in ("linear:2,1", "linear:1,1")
           for N in (1000, 2000, 5000, 10000)]
+DENSE_LADDER = [(kind, spec, N) for spec in ("linear:2,1", "linear:3,1")
+                for kind, sizes in (("cross-check", (50, 100, 200)), ("P-oracle", (50, 100)))
+                for N in sizes]
 CAP_S = 120.0
+
+
+def _measure_dense(kind: str, spec: str, N: int, memory: bool) -> dict:
+    """One dense point, in this process: hypomean must be importable."""
+    import tracemalloc
+    from time import perf_counter
+
+    from hypomean import (CertifyOptions, FactorableGenerators, MatrixKind, certify,
+                          finite_section, parse_weight_spec)
+
+    def run():
+        g = FactorableGenerators(parse_weight_spec(spec))
+        if kind == "cross-check":
+            report = certify(g, N, CertifyOptions(cross_check_minors=True))
+            json.dumps(report.to_json_dict(), sort_keys=True)
+            return report
+        return json.dumps(finite_section(g, MatrixKind.P_ORACLE, N).to_string_rows())
+
+    if memory:
+        tracemalloc.start()
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return {"tracemalloc_peak_mb": round(peak / 2 ** 20, 2)}
+    start = perf_counter()
+    out = run()
+    wall = perf_counter() - start
+    if kind == "cross-check":
+        return {"wall_s": round(wall, 4), "verdict": out.verdict.value,
+                "minors_agree": out.minors_agree,
+                "minors_s": round(out.timings["minors_s"], 4),
+                "timings": {k: round(v, 4) for k, v in out.timings.items()}}
+    return {"wall_s": round(wall, 4), "json_chars": len(out)}
 
 
 def _measure(spec: str, N: int, memory: bool) -> dict:
@@ -70,10 +112,11 @@ def _measure(spec: str, N: int, memory: bool) -> dict:
     return out
 
 
-def _run_point(src: Path, spec: str, N: int, memory: bool) -> dict | None:
+def _run_point(src: Path, kind: str, spec: str, N: int, memory: bool) -> dict | None:
     """The point's result from a fresh process, or None past the cap."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = [sys.executable, __file__, "--point", spec, str(N)] + (["--memory"] if memory else [])
+    argv = ([sys.executable, __file__, "--point", kind, spec, str(N)]
+            + (["--memory"] if memory else []))
     try:
         proc = subprocess.run(argv, env=env, capture_output=True, text=True,
                               timeout=CAP_S, check=True)
@@ -88,29 +131,38 @@ def main() -> None:
                         default=Path(__file__).resolve().parent.parent / "src")
     parser.add_argument("--json", type=Path, default=None)
     parser.add_argument("--label", default="run")
-    parser.add_argument("--point", nargs=2, metavar=("SPEC", "N"), help=argparse.SUPPRESS)
+    parser.add_argument("--point", nargs=3, metavar=("KIND", "SPEC", "N"),
+                        help=argparse.SUPPRESS)
     parser.add_argument("--memory", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
 
     if args.point:
-        spec, N = args.point
-        print(json.dumps(_measure(spec, int(N), args.memory)))
+        kind, spec, N = args.point
+        if kind == "pivots":
+            print(json.dumps(_measure(spec, int(N), args.memory)))
+        else:
+            print(json.dumps(_measure_dense(kind, spec, int(N), args.memory)))
         return
 
-    points = []
-    for spec, N in LADDER:
-        point = {"weights": spec, "N": N}
-        timed = _run_point(args.src, spec, N, False)
-        if timed is None:
-            point["capped"] = True
-        else:
-            point.update(timed, capped=False)
-            point.update(_run_point(args.src, spec, N, True)
-                         or {"tracemalloc_peak_mb": None})
-        points.append(point)
-        print(json.dumps(point), file=sys.stderr)
+    def measure(ladder):
+        points = []
+        for kind, spec, N in ladder:
+            point = {"weights": spec, "N": N}
+            if kind != "pivots":
+                point["kind"] = kind
+            timed = _run_point(args.src, kind, spec, N, False)
+            if timed is None:
+                point["capped"] = True
+            else:
+                point.update(timed, capped=False)
+                point.update(_run_point(args.src, kind, spec, N, True)
+                             or {"tracemalloc_peak_mb": None})
+            points.append(point)
+            print(json.dumps(point), file=sys.stderr)
+        return points
+
     run = {"python": platform.python_version(), "nproc": os.cpu_count(),
-           "cap_s": CAP_S, "points": points}
+           "cap_s": CAP_S, "points": measure(LADDER), "dense_points": measure(DENSE_LADDER)}
     if args.json is None:
         print(json.dumps(run, indent=2))
         return

@@ -189,7 +189,7 @@ def _cmd_symbolic(args: argparse.Namespace) -> int:
         if floor is None:
             raise ValueError(
                 "certificate emission needs a known delta floor, which is "
-                "available for linear:2,1 only")
+                "known for linear:ALPHA,BETA with ALPHA = 2*BETA only, such as linear:2,1")
         cert = induction_certificate(weights, floor)
         ratio = reference_ratio_odd(cert.certificate)
         payload = {

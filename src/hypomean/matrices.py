@@ -107,10 +107,12 @@ def p_entry_oracle(g: FactorableGenerators, i: int, j: int) -> Fraction:
     Column j of the auxiliary factor vanishes below row j+1, so the inner
     product of columns i and j has at most min(i, j) + 2 terms.  No
     truncation is involved; the sum is exact.  The columns are memoized on
-    the generators, so a section of N+1 columns computes O(N^2) entries of
-    B once and spends the rest on the products.
+    the generators as integers over one denominator each, so the sum is an
+    integer dot product and the entry is one Fraction.
     """
-    return sum(map(mul, g.b_column(i), g.b_column(j)), _ZERO)
+    u, den_i = g.b_column_scaled(i)
+    v, den_j = g.b_column_scaled(j)
+    return Fraction(sum(map(mul, u, v)), den_i * den_j)
 
 
 def q_entry(g: FactorableGenerators, i: int, j: int) -> Fraction:
@@ -175,7 +177,8 @@ class ExactMatrix(_RowsText):
     symmetric: bool = False
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
+        rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+                     for row in self.entries)
         object.__setattr__(self, "entries", rows)
         if rows:
             width = len(rows[0])

@@ -41,7 +41,6 @@ from .symbolic import known_floor
 from .weights import FactorableGenerators, HypothesisReport, check_hypotheses
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class StructureError(RuntimeError):
@@ -349,62 +348,95 @@ def delta_sequence(T: TridiagonalForm) -> DeltaSequence:
     )
 
 
-def _det_pivoted(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by Gaussian elimination with row swaps."""
+def _integer_scales(entries: Sequence[Sequence[Fraction]]) -> list[int]:
+    """Positive integers d_i that make every d_i d_j q_ij an integer.
+
+    Greedy, one index at a time: d_i = lcm(den q_ii, den q_ij / gcd(den
+    q_ij, d_j) for j < i).  The part of den q_ij that d_j already holds
+    is left out of d_i, so the scales stay near the size of the diagonal
+    denominators; the lcm of whole rows would be far larger.
+    """
+    scales: list[int] = []
+    for i, row in enumerate(entries):
+        d = row[i].denominator
+        for j in range(i):
+            den = row[j].denominator
+            if den != 1:
+                d = math.lcm(d, den // math.gcd(den, scales[j]))
+        scales.append(d)
+    return scales
+
+
+def _det_bareiss(rows: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix by Bareiss's fraction-free
+    elimination with row swaps; every division is exact.  Overwrites rows."""
     n = len(rows)
-    A = [r[:] for r in rows]
-    det = _ONE
+    sign, prev = 1, 1
     for k in range(n):
-        pivot_row = next((r for r in range(k, n) if A[r][k] != 0), None)
+        pivot_row = next((r for r in range(k, n) if rows[r][k]), None)
         if pivot_row is None:
-            return _ZERO
+            return 0
         if pivot_row != k:
-            A[k], A[pivot_row] = A[pivot_row], A[k]
-            det = -det
-        det *= A[k][k]
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            sign = -sign
+        row_k = rows[k]
+        p = row_k[k]
+        tail = row_k[k + 1:]
         for r in range(k + 1, n):
-            if A[r][k] == 0:
-                continue
-            f = A[r][k] / A[k][k]
-            for c in range(k, n):
-                A[r][c] -= f * A[k][c]
-    return det
+            row_r = rows[r]
+            f = row_r[k]
+            row_r[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row_r[k + 1:], tail)]
+        prev = p
+    return sign * prev
 
 
 def leading_minors(Q: ExactMatrix | FactoredSection) -> list[Fraction]:
     """Exact determinants of all leading principal sections of a symmetric Q.
 
-    A single elimination sweep without pivoting yields every minor as a
-    running product of pivots.  Each Schur complement of a symmetric matrix
-    is symmetric, so the sweep keeps only the upper triangle and reads
-    A[k][r] in place of A[r][k]: about n^3/6 updates instead of n^3/3.  If a
-    pivot vanishes, that minor is zero and the later sections are evaluated
-    independently with pivoting.
+    Q is scaled to the integer matrix A = DQD with D = diag(d_i) from
+    _integer_scales, so that minor k of Q is minor k of A over
+    (d_0 ... d_k)^2.  One fraction-free sweep (Bareiss, Math. Comp. 22,
+    1968) then yields every minor of A:
+
+        A_rc <- (p A_rc - A_kr A_kc) // p_prev
+
+    where p = A_kk is minor k of A and p_prev the one before it; each
+    division is exact.  The intermediate matrices stay symmetric, so the
+    sweep keeps only the upper triangle, about n^3/6 updates.  Only the
+    minors themselves become Fractions.
+
+    If minor k vanishes the sweep cannot go on.  By Sylvester's identity,
+    minor m > k of A is then the determinant of the block (k..m, k..m) of
+    the swept matrix over p_prev^(m-k); each such block is evaluated by
+    the pivoted Bareiss elimination.
     """
     if not Q.symmetric:
         raise ValueError("leading minors expect a symmetric section")
     n = Q.n_rows
-    A = [list(r) for r in Q.entries]
+    scales = _integer_scales(Q.entries)
+    A = [[x.numerator * (di * dj // x.denominator) for x, dj in zip(row, scales)]
+         for row, di in zip(Q.entries, scales)]
     minors: list[Fraction] = []
-    running = _ONE
+    scale2 = 1
+    prev = 1
     for k in range(n):
+        scale2 *= scales[k] ** 2
         row_k = A[k]
-        pivot = row_k[k]
-        if pivot == 0:
+        p = row_k[k]
+        if not p:
             minors.append(_ZERO)
-            minors.extend(
-                _det_pivoted([list(r[:m + 1]) for r in Q.entries[:m + 1]])
-                for m in range(k + 1, n))
+            for m in range(k + 1, n):
+                scale2 *= scales[m] ** 2
+                block = [[A[min(i, j)][max(i, j)] for j in range(k, m + 1)]
+                         for i in range(k, m + 1)]
+                minors.append(Fraction(_det_bareiss(block), prev ** (m - k) * scale2))
             return minors
-        running *= pivot
-        minors.append(running)
+        minors.append(Fraction(p, scale2))
         for r in range(k + 1, n):
-            if row_k[r] == 0:
-                continue
-            f = row_k[r] / pivot
+            f = row_k[r]
             row_r = A[r]
-            for c in range(r, n):
-                row_r[c] -= f * row_k[c]
+            row_r[r:] = [(p * x - f * y) // prev for x, y in zip(row_r[r:], row_k[r:])]
+        prev = p
     return minors
 
 

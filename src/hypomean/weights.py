@@ -117,11 +117,12 @@ class FactorableGenerators:
     integers: c^_k = lambda w_k, W^_k = lambda W_k and S^_k = lambda^2 S_k,
     where W_k and S_k are the prefix sums of w and of w^2.  The closed-form
     entries of Q are read from these integers, so the fast paths build a
-    Fraction only for a value they keep.  The weights, the row factors
-    a_i = 1/W_i and the columns of the auxiliary factor B, which the
-    finite-sum oracle for P reads, are memoized as Fractions.  The caches
-    only ever grow and are extended under a lock, so concurrent readers
-    are safe; they live as long as this object.
+    Fraction only for a value they keep.  The weights and the row factors
+    a_i = 1/W_i are memoized as Fractions; the columns of the auxiliary
+    factor B, which the finite-sum oracle for P reads, as integers over
+    one denominator per column.  The caches only ever grow and are
+    extended under a lock, so concurrent readers are safe; they live as
+    long as this object.
     """
 
     def __init__(self, weights: WeightSequence):
@@ -132,7 +133,7 @@ class FactorableGenerators:
         self._hat: list[tuple[int, int, int]] = []
         self._w: list[Fraction] = []
         self._a: list[Fraction] = []
-        self._B: dict[int, tuple[Fraction, ...]] = {}
+        self._B: dict[int, tuple[tuple[int, ...], int]] = {}
         self._lock = threading.Lock()
 
     def _ensure(self, upto: int) -> None:
@@ -200,27 +201,34 @@ class FactorableGenerators:
             raise IndexError("prefix sum index must be nonnegative")
         return Fraction(self.scaled(j)[2], self.scale ** 2)
 
-    def b_column(self, j: int) -> tuple[Fraction, ...]:
+    def b_column_scaled(self, j: int) -> tuple[tuple[int, ...], int]:
         """Column j of the auxiliary factor B down to its last nonzero
-        entry: (b_0j, ..., b_{j+1,j}), computed once per index.
+        entry, (b_0j, ..., b_{j+1,j}), as integers over one denominator,
+        computed once per index.
 
         With r = a_{j+1}/a_j the entries are c_i (1/c_j - r/c_{j+1}) for
         i <= j and -r for i = j+1; matrices.b_entry computes a single entry
         from that definition and is the reference for this memo.  In the
-        integer generators the scale cancels:
-        c_i (1/c_j - r/c_{j+1}) = c^_i (c^_{j+1} W^_{j+1} - c^_j W^_j)
-        / (c^_j c^_{j+1} W^_{j+1}) and r = W^_j / W^_{j+1}.
+        integer generators the scale cancels: over the denominator
+        c^_j c^_{j+1} W^_{j+1} the entries are c^_i (c^_{j+1} W^_{j+1} -
+        c^_j W^_j) and -W^_j c^_j c^_{j+1}.
         """
         column = self._B.get(j)
         if column is None:
             c, W, _ = self.scaled(j)
             c1, W1, _ = self.scaled(j + 1)
-            num, den = c1 * W1 - c * W, c * c1 * W1
-            column = tuple(Fraction(self._hat[i][0] * num, den) for i in range(j + 1))
-            column += (-Fraction(W, W1),)
+            num = c1 * W1 - c * W
+            column = (tuple(self._hat[i][0] * num for i in range(j + 1)) + (-W * c * c1,),
+                      c * c1 * W1)
             with self._lock:
                 column = self._B.setdefault(j, column)
         return column
+
+    def b_column(self, j: int) -> tuple[Fraction, ...]:
+        """Column j of B as Fractions, (b_0j, ..., b_{j+1,j}), from the
+        integer memo of b_column_scaled."""
+        entries, den = self.b_column_scaled(j)
+        return tuple(Fraction(x, den) for x in entries)
 
     def spec_string(self) -> str:
         return self.weights.spec_string()

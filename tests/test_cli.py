@@ -96,7 +96,15 @@ class TestSymbolicUsageErrors:
     def test_family_without_a_floor_has_no_certificate(self, capsys):
         args = ["symbolic", "--weights", "linear:1,1", "--emit", "certificate"]
         assert main(args) == EXIT_USAGE
-        assert "needs a known delta floor" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "hypomean: error: certificate emission needs a known delta floor, which is "
+            "known for linear:ALPHA,BETA with ALPHA = 2*BETA only, such as linear:2,1\n")
+
+    @pytest.mark.parametrize("spec", ["linear:4,2", "linear:1,1/2", "linear:6,3"])
+    def test_every_family_the_message_names_has_a_certificate(self, spec, capsys):
+        args = ["symbolic", "--weights", spec, "--emit", "certificate"]
+        assert main(args) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["reference_ratio"] == "1"
 
 
 class TestSymbolicCertificate:

@@ -85,6 +85,21 @@ class TestInterrupterEntries:
         for i, j in pairs:
             assert p_entry_oracle(warmed, i, j) == by_b_entries(warmed, i, j)
 
+    def test_oracle_on_a_rational_family_at_n30(self):
+        # lambda = 24: the integer columns of B carry the scale.
+        g = FactorableGenerators(LinearWeights(F(7, 3), F(5, 8)))
+        for i in range(31):
+            for j in range(i, 31):
+                oracle = p_entry_oracle(g, i, j)
+                assert oracle == p_entry_closed(g, i, j), (i, j)
+                assert oracle == sum(b_entry(g, k, i) * b_entry(g, k, j)
+                                     for k in range(i + 2)), (i, j)
+
+    def test_b_columns_equal_the_entry_definition(self):
+        g = FactorableGenerators(TableWeights(RATIONAL_TABLE))
+        for j in range(20):
+            assert g.b_column(j) == tuple(b_entry(g, i, j) for i in range(j + 2))
+
     def test_oracle_equivalence_small_grid(self, all_families):
         for g in all_families:
             for i in range(13):
@@ -173,6 +188,13 @@ class TestExactMatrix:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             ExactMatrix(((F(1), F(2)), (F(3),)))
+
+    def test_entries_become_fractions_and_fractions_are_kept(self):
+        half = F(1, 2)
+        m = ExactMatrix(((half, 1), ("1", F(0))), symmetric=True)
+        assert m.entries[0][0] is half
+        assert all(type(x) is Fraction for row in m.entries for x in row)
+        assert m.entries == ((half, F(1)), (F(1), F(0)))
 
     def test_string_rows_round_trip(self, odd_gens):
         section = finite_section(odd_gens, MatrixKind.Q, 2)

@@ -20,6 +20,7 @@ from hypomean import (
     TridiagonalForm,
     Verdict,
     certify,
+    check_hypotheses,
     Polynomial,
     RationalFunction,
     check_delta_bounds,
@@ -38,7 +39,6 @@ from hypomean import (
     z_closed_odd,
 )
 from hypomean.matrices import ExactMatrix
-from hypomean.positivity import _det_pivoted
 
 F = Fraction
 
@@ -77,6 +77,35 @@ def _tridiagonalize_dense(Q: ExactMatrix, z) -> TridiagonalForm:
             raise StructureError(n, n + 1, rows[n][n + 1] - rows[n + 1][n])
     return TridiagonalForm(d=tuple(rows[k][k] for k in range(N + 1)),
                            s=tuple(rows[k + 1][k] for k in range(N)))
+
+
+def _det_pivoted(rows: list[list[Fraction]]) -> Fraction:
+    """Oracle for the minors: exact determinant by Fraction Gaussian
+    elimination with row swaps."""
+    n = len(rows)
+    A = [r[:] for r in rows]
+    det = F(1)
+    for k in range(n):
+        pivot_row = next((r for r in range(k, n) if A[r][k] != 0), None)
+        if pivot_row is None:
+            return F(0)
+        if pivot_row != k:
+            A[k], A[pivot_row] = A[pivot_row], A[k]
+            det = -det
+        det *= A[k][k]
+        for r in range(k + 1, n):
+            if A[r][k] == 0:
+                continue
+            f = A[r][k] / A[k][k]
+            for c in range(k, n):
+                A[r][c] -= f * A[k][c]
+    return det
+
+
+def _block_minors(m) -> list[Fraction]:
+    """Leading minors of m, each by its own pivoted elimination."""
+    return [_det_pivoted([list(row[:k + 1]) for row in m.entries[:k + 1]])
+            for k in range(m.n_rows)]
 
 
 def _tridiagonal_outcome(reduce, Q, z):
@@ -185,6 +214,36 @@ def _symmetric_matrices(draw):
     upper = {(i, j): draw(value) for i in range(n) for j in range(i, n)}
     return ExactMatrix(tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n))
                              for i in range(n)), symmetric=True)
+
+
+@st.composite
+def _symmetric_matrices_over_many_denominators(draw):
+    """Symmetric rational matrices up to 12 x 12 whose entries have several
+    denominators per row, so that the integer scales of leading_minors
+    differ by index, and whose diagonal often holds zeros."""
+    n = draw(st.integers(1, 12))
+    value = st.builds(F, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 5, 6, 7, 9, 12)))
+    diagonal = st.one_of(st.just(F(0)), value)
+    upper = {(i, j): draw(diagonal if i == j else value)
+             for i in range(n) for j in range(i, n)}
+    return ExactMatrix(tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n))
+                             for i in range(n)), symmetric=True)
+
+
+def _minors_by_fraction_sweep(m) -> list[Fraction]:
+    """Leading minors as running products of the pivots of plain Fraction
+    Gaussian elimination; every pivot must be nonzero."""
+    A = [list(r) for r in m.entries]
+    n, minors, running = len(A), [], F(1)
+    for k in range(n):
+        assert A[k][k] != 0
+        running *= A[k][k]
+        minors.append(running)
+        for r in range(k + 1, n):
+            f = A[r][k] / A[k][k]
+            for c in range(k, n):
+                A[r][c] -= f * A[k][c]
+    return minors
 
 
 _SMALL_RATIONALS = st.one_of(st.just(F(0)), st.integers(-3, 3).map(F),
@@ -396,9 +455,39 @@ class TestLeadingMinors:
     @given(m=_symmetric_matrices())
     @settings(max_examples=200, deadline=None)
     def test_matches_pivoted_determinants_of_leading_blocks(self, m):
-        blocks = [_det_pivoted([list(row[:k + 1]) for row in m.entries[:k + 1]])
-                  for k in range(m.n_rows)]
-        assert leading_minors(m) == blocks
+        assert leading_minors(m) == _block_minors(m)
+
+    @given(m=_symmetric_matrices_over_many_denominators())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pivoted_determinants_over_many_denominators(self, m):
+        assert leading_minors(m) == _block_minors(m)
+
+    @pytest.mark.parametrize("spec, override", [
+        ("linear:7/3,5/8", False), ("linear:9/4,1/8", False),
+        ("table:3/2,1/5," + ",".join(f"{k % 7 + 1}/{k % 4 + 2}" for k in range(20)), True)])
+    @pytest.mark.parametrize("N", [0, 1, 2, 20])
+    def test_rational_families_match_the_fraction_sweep_and_the_pivots(self, spec, override, N):
+        g = FactorableGenerators(parse_weight_spec(spec))
+        assert g.scale != 1
+        assert check_hypotheses(g, max(N, 1)).all_passed != override
+        Q = finite_section(g, MatrixKind.Q, N)
+        minors = leading_minors(Q)
+        assert minors == _minors_by_fraction_sweep(_dense(Q))
+        for k in range(N + 1):
+            Qk = finite_section(g, MatrixKind.Q, k)
+            T = tridiagonalize(Qk, [elimination_multiplier(Qk, n) for n in range(k)])
+            assert delta_sequence(T).determinant() == minors[k]
+        report = certify(g, N, CertifyOptions(cross_check_minors=True,
+                                              override_hypotheses=override))
+        assert report.minors_agree and report.determinant == minors[-1]
+
+    def test_zero_leading_entry_at_n30(self, odd_gens):
+        rows = [list(r) for r in finite_section(odd_gens, MatrixKind.Q, 30).entries]
+        rows[0][0] = F(0)
+        m = ExactMatrix(tuple(map(tuple, rows)), symmetric=True)
+        minors = leading_minors(m)
+        assert minors[0] == 0 and minors[1] < 0
+        assert minors == _block_minors(m)
 
     def test_requires_symmetric_section(self, odd_gens):
         with pytest.raises(ValueError, match="symmetric"):
