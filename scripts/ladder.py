@@ -1,11 +1,15 @@
-"""Scaling ladders for `certify`: wall time, stage timings, bit sizes and
-peak memory.
+"""Scaling ladders for `certify` and the symbolic layer: wall time, stage
+timings, bit sizes and peak memory.
 
 The pivot ladder runs the default route at N = 10^3, 2*10^3, 5*10^3 and
 10^4 on linear:2,1 and linear:1,1.  The dense ladder runs the exact
 reference paths on linear:2,1 and linear:3,1: `certify` with the minor
 cross-check at N = 50, 100 and 200, and the section of the finite-sum P
-oracle (`dump --kind P-oracle`) at N = 50 and 100.
+oracle (`dump --kind P-oracle`) at N = 50 and 100.  The symbolic ladder
+runs, for each family of the floor search (linear:2,1, 1,1, 3,1, 0,1 and
+1,5), a cold `symbolic_tridiagonal` in a fresh process, and
+`induction_certificate` over the fixed 21 floors of SYMBOLIC_FLOORS twice
+in another: the first pass is cold, the second warm.
 
     python3 scripts/ladder.py [--src DIR] [--json PATH --label NAME]
 
@@ -16,9 +20,11 @@ serialization of its output.  For a pivot point it records the report's
 per-stage timings, the largest bit size of the continuant values X_n (when
 the checkout has them) and the bit size of the last pivot delta_N
 (numerator plus denominator); for a dense point, the report's timings
-(`minors_s` among them) or the size of the dumped text.  A second process
-repeats the call under tracemalloc for the peak of traced memory; it is
-skipped when the first hit the cap.  A process that runs longer than
+(`minors_s` among them) or the size of the dumped text; for a symbolic
+point, the wall times and how many floors were certified.  A second
+process repeats the call (for a symbolic point, one cold pass over the
+floors) under tracemalloc for the peak of traced memory; it is skipped
+when the first hit the cap.  A process that runs longer than
 CAP_S = 120 seconds is stopped and its point is marked "capped".
 
 With --json, the run is stored under NAME in that file, next to the runs
@@ -40,6 +46,13 @@ LADDER = [("pivots", spec, N) for spec in ("linear:2,1", "linear:1,1")
 DENSE_LADDER = [(kind, spec, N) for spec in ("linear:2,1", "linear:3,1")
                 for kind, sizes in (("cross-check", (50, 100, 200)), ("P-oracle", (50, 100)))
                 for N in sizes]
+SYMBOLIC_FAMILIES = ("linear:2,1", "linear:1,1", "linear:3,1", "linear:0,1", "linear:1,5")
+# (a, b, c) of the floors L(n) = (n+a)/(n^2+bn+c): the paper's floor and a
+# 4 x 5 grid.  With b = -2 the denominator's sign is left to the Sturm test,
+# and with c = 1 it vanishes at n = 1, which no test certifies.
+SYMBOLIC_FLOORS = [("5/2", "5", "37/4")] + [
+    (a, b, c) for a in ("1/2", "3/2", "5/2", "7/2")
+    for b, c in (("-2", "1"), ("0", "3"), ("2", "6"), ("4", "37/4"), ("6", "12"))]
 CAP_S = 120.0
 
 
@@ -74,6 +87,51 @@ def _measure_dense(kind: str, spec: str, N: int, memory: bool) -> dict:
                 "minors_s": round(out.timings["minors_s"], 4),
                 "timings": {k: round(v, 4) for k, v in out.timings.items()}}
     return {"wall_s": round(wall, 4), "json_chars": len(out)}
+
+
+def _measure_symbolic(kind: str, spec: str, memory: bool) -> dict:
+    """One symbolic point, in this process: hypomean must be importable."""
+    import tracemalloc
+    from fractions import Fraction
+    from time import perf_counter
+
+    from hypomean import (CertificateInconclusive, Polynomial, RationalFunction,
+                          induction_certificate, parse_weight_spec, symbolic_tridiagonal)
+
+    weights = parse_weight_spec(spec)
+    if kind == "symbolic-tridiagonal":
+        start = perf_counter()
+        symbolic_tridiagonal(weights)
+        return {"tridiagonal_cold_s": round(perf_counter() - start, 4)}
+
+    floors = [RationalFunction(Polynomial((Fraction(a), 1)),
+                               Polynomial((Fraction(c), Fraction(b), 1)))
+              for a, b, c in SYMBOLIC_FLOORS]
+
+    def grid() -> int:
+        certified = 0
+        for floor in floors:
+            try:
+                cert = induction_certificate(weights, floor)
+            except CertificateInconclusive:
+                continue
+            certified += cert.nonneg_for_n_ge_1 and cert.base_holds
+        return certified
+
+    if memory:
+        tracemalloc.start()
+        grid()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return {"tracemalloc_peak_mb": round(peak / 2 ** 20, 2)}
+    start = perf_counter()
+    certified = grid()
+    cold = perf_counter() - start
+    start = perf_counter()
+    grid()
+    warm = perf_counter() - start
+    return {"floors": len(floors), "certified": certified,
+            "grid_cold_s": round(cold, 4), "grid_warm_s": round(warm, 4)}
 
 
 def _measure(spec: str, N: int, memory: bool) -> dict:
@@ -140,6 +198,8 @@ def main() -> None:
         kind, spec, N = args.point
         if kind == "pivots":
             print(json.dumps(_measure(spec, int(N), args.memory)))
+        elif kind.startswith("symbolic"):
+            print(json.dumps(_measure_symbolic(kind, spec, args.memory)))
         else:
             print(json.dumps(_measure_dense(kind, spec, int(N), args.memory)))
         return
@@ -161,8 +221,24 @@ def main() -> None:
             print(json.dumps(point), file=sys.stderr)
         return points
 
+    def measure_symbolic():
+        points = []
+        for spec in SYMBOLIC_FAMILIES:
+            point = {"weights": spec}
+            for kind in ("symbolic-tridiagonal", "symbolic-grid"):
+                timed = _run_point(args.src, kind, spec, 0, False)
+                point.update(timed or {"capped": True})
+            if "capped" not in point:
+                point.update(_run_point(args.src, "symbolic-grid", spec, 0, True)
+                             or {"tracemalloc_peak_mb": None})
+            point.setdefault("capped", False)
+            points.append(point)
+            print(json.dumps(point), file=sys.stderr)
+        return points
+
     run = {"python": platform.python_version(), "nproc": os.cpu_count(),
-           "cap_s": CAP_S, "points": measure(LADDER), "dense_points": measure(DENSE_LADDER)}
+           "cap_s": CAP_S, "points": measure(LADDER), "dense_points": measure(DENSE_LADDER),
+           "symbolic_points": measure_symbolic()}
     if args.json is None:
         print(json.dumps(run, indent=2))
         return

@@ -5,12 +5,115 @@
 # empty tuple).  A rational function is always kept canonical: numerator and
 # denominator coprime, denominator monic.  Everything here is exact; no
 # floats ever enter.
+#
+# The kernels (sum, product, value, composition, gcd, canonical form, Sturm
+# chain) run on integer coefficient lists: a polynomial is cleared to
+# integers over one common denominator, the integers are combined, and one
+# Fraction is built per coefficient that is returned.
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm as int_lcm
 from typing import Iterable, Sequence
+
+
+def _cleared(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, den) with coeffs[k] == ints[k] / den, den the lcm of the
+    denominators."""
+    den = int_lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _primitive_ints(coeffs: Sequence[Fraction]) -> tuple[list[int], Fraction]:
+    """(ints, content) with coeffs[k] == content * ints[k], content > 0 and
+    the ints coprime; coeffs must not all be zero."""
+    ints, den = _cleared(coeffs)
+    g = int_gcd(*ints)
+    return [v // g for v in ints], Fraction(g, den)
+
+
+def _content_free(ints: list[int]) -> list[int]:
+    """Divide out the positive gcd of the coefficients."""
+    g = int_gcd(*ints) if ints else 1
+    return ints if g == 1 else [v // g for v in ints]
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two nonzero integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of a by b, on integers.
+
+    Each step scales the running remainder by |lc(b)| and subtracts a signed
+    multiple of b, so the result is m*a - q*b with m a positive power of
+    |lc(b)|: the signs of the true remainder are kept, which the Sturm chain
+    needs.  Trailing zeros are stripped.
+    """
+    lb = b[-1]
+    scale, sign = abs(lb), (1 if lb > 0 else -1)
+    db = len(b) - 1
+    rem = list(a)
+    for top in range(len(a) - 1, db - 1, -1):
+        c = rem.pop()
+        if not c:
+            continue
+        if scale != 1:
+            rem = [scale * v for v in rem]
+        c *= sign
+        shift = top - db
+        for j in range(db):
+            rem[shift + j] -= c * b[j]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
+def _exact_quo(a: list[int], b: list[int]) -> list[int]:
+    """The integer quotient a / b when b divides a in Z[x]."""
+    lb = b[-1]
+    db = len(b) - 1
+    rem = list(a)
+    quo = [0] * (len(a) - db)
+    for k in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[k + db], lb)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        quo[k] = c
+        if c:
+            for j in range(db):
+                rem[k + j] -= c * b[j]
+    return quo
+
+
+def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two integer coefficient lists (primitive PRS)."""
+    x, y = _content_free(a), _content_free(b)
+    if len(x) < len(y):
+        x, y = y, x
+    while y:
+        x, y = y, _content_free(_prem(x, y))
+    return x
+
+
+def _homogeneous(ints: Sequence[int], u: int, v: int) -> int:
+    """sum ints[k] u^k v^(d-k), d = len(ints) - 1: the value at u/v times v^d."""
+    acc, vpow = 0, 1
+    for c in reversed(ints):
+        acc = acc * u + c * vpow
+        vpow *= v
+    return acc
+
+
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
 
 
 class Polynomial:
@@ -19,11 +122,20 @@ class Polynomial:
     __slots__ = ("coeffs", "var")
 
     def __init__(self, coeffs: Iterable, var: str = "n"):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
         self.var = var
+
+    @classmethod
+    def _over(cls, ints: Sequence[int], den: int, var: str) -> "Polynomial":
+        """The polynomial with coefficients ints[k] / den, one Fraction each;
+        ints must have no trailing zero."""
+        p = object.__new__(cls)
+        p.coeffs = tuple([Fraction(v, den) for v in ints])
+        p.var = var
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -66,17 +178,26 @@ class Polynomial:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other on integers over the lcm of the denominators."""
         self._check_var(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            (self.coeff(k) + other.coeff(k) for k in range(n)), self.var)
+        a, da = _cleared(self.coeffs)
+        b, db = _cleared(other.coeffs)
+        den = int_lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        n = max(len(a), len(b))
+        out = [v * fa for v in a] + [0] * (n - len(a))
+        for k, v in enumerate(b):
+            out[k] += v * fb
+        while out and not out[-1]:
+            out.pop()
+        return Polynomial._over(out, den, self.var)
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_var(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            (self.coeff(k) - other.coeff(k) for k in range(n)), self.var)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial((-c for c in self.coeffs), self.var)
@@ -85,13 +206,9 @@ class Polynomial:
         self._check_var(other)
         if self.is_zero or other.is_zero:
             return Polynomial.zero(self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out, self.var)
+        a, da = _cleared(self.coeffs)
+        b, db = _cleared(other.coeffs)
+        return Polynomial._over(_convolve(a, b), da * db, self.var)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -123,19 +240,30 @@ class Polynomial:
     # -- evaluation and composition ------------------------------------
 
     def eval(self, x) -> Fraction:
-        """Evaluate at a rational point by Horner's rule."""
+        """Evaluate at a rational point by Horner's rule on the integers."""
+        if not self.coeffs:
+            return Fraction(0)
         x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        a, den = _cleared(self.coeffs)
+        return Fraction(_homogeneous(a, x.numerator, x.denominator),
+                        den * x.denominator ** self.degree)
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
-        """Substitute `inner` for the variable; result uses inner's variable."""
-        acc = Polynomial.zero(inner.var)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Polynomial.constant(c, inner.var)
-        return acc
+        """Substitute `inner` for the variable; result uses inner's variable.
+
+        With self = a/da and inner = b/db on integers, Horner's rule on
+        acc * b + a_k db^(d-k) gives self(inner) times da db^d.
+        """
+        if self.is_zero or inner.degree < 1:
+            return Polynomial.constant(self.eval(inner.coeff(0)), inner.var)
+        a, da = _cleared(self.coeffs)
+        b, db = _cleared(inner.coeffs)
+        acc, dpow = [a[-1]], 1
+        for c in reversed(a[:-1]):
+            dpow *= db
+            acc = _convolve(acc, b)
+            acc[0] += c * dpow
+        return Polynomial._over(acc, da * dpow, inner.var)
 
     def shift(self, offset) -> "Polynomial":
         """p(x + offset), same variable."""
@@ -166,11 +294,6 @@ class Polynomial:
                     rem[k + j] -= c * b
         return Polynomial(quo, self.var), Polynomial(rem[:divisor.degree], self.var)
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.leading)
-
     def primitive(self) -> tuple["Polynomial", Fraction]:
         """Scale to coprime integer coefficients, keeping signs.
 
@@ -179,14 +302,8 @@ class Polynomial:
         """
         if self.is_zero:
             return self, Fraction(1)
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-        num_gcd = 0
-        for c in self.coeffs:
-            num_gcd = int_gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-        f = Fraction(den_lcm, num_gcd)
-        return self.scale(f), f
+        ints, content = _primitive_ints(self.coeffs)
+        return Polynomial._over(ints, 1, self.var), 1 / content
 
     # -- display ------------------------------------------------------
 
@@ -215,14 +332,14 @@ class Polynomial:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm (monic at each step)."""
+    """Monic gcd, by a primitive remainder sequence on the integer
+    coefficients: pseudo-remainders with the content divided out at each
+    step, then made monic.  The gcd of two zero polynomials is zero."""
     a._check_var(b)
-    x, y = a, b
-    while not y.is_zero:
-        x, y = y, x.quo_rem(y)[1]
-        if not y.is_zero:
-            y = y.monic()
-    return x.monic() if not x.is_zero else x
+    g = _gcd_ints(_cleared(a.coeffs)[0], _cleared(b.coeffs)[0])
+    if not g:
+        return Polynomial.zero(a.var)
+    return Polynomial._over(g, g[-1], a.var)
 
 
 def square_free_part(p: Polynomial) -> Polynomial:
@@ -235,11 +352,12 @@ def square_free_part(p: Polynomial) -> Polynomial:
     return p.quo_rem(g)[0]
 
 
-def sturm_chain(p: Polynomial) -> list[Polynomial]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero:
-        rem = chain[-2].quo_rem(chain[-1])[1]
-        chain.append(-rem)
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """Sturm chain of an integer polynomial, each element a positive
+    multiple of the classical one (p, p', -rem, ...), so signs are kept."""
+    chain = [p, [k * c for k, c in enumerate(p) if k]]
+    while chain[-1]:
+        chain.append(_content_free([-v for v in _prem(chain[-2], chain[-1])]))
     chain.pop()
     return chain
 
@@ -253,15 +371,17 @@ def count_roots_above(p: Polynomial, a) -> int:
     """Number of distinct real roots of p in the open ray (a, +inf).
 
     Uses the Sturm chain of the square-free part, comparing sign
-    variations at a and at +infinity (leading-coefficient signs).
+    variations at a and at +infinity (leading-coefficient signs).  The
+    chain runs on integers; each element is a positive multiple of the
+    classical one, so the signs, and the count, are the same.
     """
     q = square_free_part(p)
     if q.degree < 1:
         return 0
-    chain = sturm_chain(q)
+    chain = _sturm_chain(_cleared(q.coeffs)[0])
     a = Fraction(a)
-    at_a = [(lambda v: (v > 0) - (v < 0))(c.eval(a)) for c in chain]
-    at_inf = [(lambda v: (v > 0) - (v < 0))(c.leading) for c in chain]
+    at_a = [_sign(_homogeneous(c, a.numerator, a.denominator)) for c in chain]
+    at_inf = [_sign(c[-1]) for c in chain]
     return _sign_variations(at_a) - _sign_variations(at_inf)
 
 
@@ -282,14 +402,20 @@ class RationalFunction:
             num = Polynomial.zero(num.var)
             den = Polynomial.constant(1, num.var)
         else:
+            # num = cn * nums and den = cd * dens with nums, dens primitive
+            # integer lists; dividing both by the primitive gcd is exact in
+            # Z[x] (Gauss's lemma), and the contents fold into one factor.
             g = poly_gcd(num, den)
+            nums, cn = _primitive_ints(num.coeffs)
+            dens, cd = _primitive_ints(den.coeffs)
             if g.degree > 0:
-                num = num.quo_rem(g)[0]
-                den = den.quo_rem(g)[0]
-            lead = den.leading
-            if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
+                gs = _primitive_ints(g.coeffs)[0]
+                nums = _exact_quo(nums, gs)
+                dens = _exact_quo(dens, gs)
+            lead = dens[-1]
+            f = cn / (cd * lead)
+            num = Polynomial._over([v * f.numerator for v in nums], f.denominator, num.var)
+            den = Polynomial._over(dens, lead, den.var)
         self.num = num
         self.den = den
 

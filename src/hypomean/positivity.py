@@ -661,12 +661,15 @@ def certify(g: FactorableGenerators, N: int,
     bound_report = None
     if options.bounds:
         floor = known_floor(g.weights)
-        if floor is not None and D.complete:
+        if floor is None:
+            notes.append("bound checks skipped: no certified floor for this family")
+        elif not D.complete:
+            notes.append("bound checks skipped: pivot sequence stopped at "
+                         f"n = {D.stopped_at}")
+        else:
             bound_report = timed("bounds_s", check_delta_bounds, T, D, floor)
             notes.append("delta floors hold" if bound_report.all_ok
                          else "delta floor comparisons FAILED")
-        else:
-            notes.append("bound checks apply to linear:2,1 only; skipped")
 
     minors_agree = None
     if options.cross_check_minors:

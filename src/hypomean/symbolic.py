@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .polynomials import (
     Polynomial,
@@ -39,6 +40,10 @@ ODD_CERTIFICATE_REFERENCE = (
     178, 35022, 285132, 927504, 1531563, 1447767,
     824294, 282288, 54624, 4944, 96,
 )
+
+# Families whose closed forms are kept per process.  Nothing in them
+# depends on a floor, so a floor search derives each family once.
+FAMILY_MEMO_SIZE = 64
 
 
 class SymbolicStructureError(RuntimeError):
@@ -131,9 +136,9 @@ def _prefix_sum_poly(term: Polynomial) -> Polynomial:
     return p
 
 
-def _family_polys(w: LinearWeights, var: str):
+def _family_polys(alpha: Fraction, beta: Fraction, var: str):
     one_shift = Polynomial((1, 1), var)
-    c = Polynomial((w.beta, w.alpha), var)
+    c = Polynomial((beta, alpha), var)
     W = _prefix_sum_poly(c)
     S = _prefix_sum_poly(c * c)
     return c, c.compose(one_shift), W, W.compose(one_shift), S, S.compose(one_shift)
@@ -150,9 +155,17 @@ def symbolic_q(weights) -> SymbolicQ:
     with c1, W1, S1 the index-shifted polynomials.  Off the diagonal the
     entry splits into the row factor R and the column factor C of
     matrices.offdiag_factors, here as rational functions of the index.
+
+    The result is memoized on (alpha, beta), not on beta/alpha: scaling the
+    weights by k leaves the diagonal alone but scales R by 1/k and C by k.
     """
     w = _require_linear(weights)
-    c, c1, W, W1, S, S1 = _family_polys(w, "n")
+    return _symbolic_q(w.alpha, w.beta)
+
+
+@lru_cache(maxsize=FAMILY_MEMO_SIZE)
+def _symbolic_q(alpha: Fraction, beta: Fraction) -> SymbolicQ:
+    c, c1, W, W1, S, S1 = _family_polys(alpha, beta, "n")
     den = c * c * c1 * c1 * W1 * W1
     if den.is_zero:
         raise SymbolicStructureError("degenerate family: zero denominator")
@@ -160,7 +173,7 @@ def symbolic_q(weights) -> SymbolicQ:
     num = c * c * c1 * c1 * W * W + S * cross * cross
     diagonal = RationalFunction(den - num, den)
 
-    cm, cm1, Wm, Wm1, _, _ = _family_polys(w, "m")
+    cm, cm1, Wm, Wm1, _, _ = _family_polys(alpha, beta, "m")
     offdiag_row = RationalFunction(cm1 * Wm1 - cm * Wm, cm * cm1 * Wm1)
     offdiag_col = RationalFunction(c * S1 * W - c1 * S * W1, c * c1 * W1)
     return SymbolicQ(diagonal=diagonal,
@@ -177,9 +190,14 @@ def symbolic_tridiagonal(weights) -> SymbolicTridiagonal:
 
     with q_{n+1,n} = R(n+1) * C(n).  A family whose column factor is
     identically zero has a diagonal Q already; z = 0 then does nothing and
-    d reduces to the diagonal.
+    d reduces to the diagonal.  The elimination is memoized on the closed
+    form of Q.
     """
-    q = symbolic_q(weights)
+    return _eliminate(symbolic_q(weights))
+
+
+@lru_cache(maxsize=FAMILY_MEMO_SIZE)
+def _eliminate(q: SymbolicQ) -> SymbolicTridiagonal:
     n_plus_1 = Polynomial((1, 1), "n")
     C = q.offdiag_col
     R_shift = q.offdiag_row.compose(n_plus_1)

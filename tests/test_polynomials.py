@@ -166,3 +166,205 @@ class TestRationalFunction:
     def test_degree_pair(self):
         rf = RationalFunction(P(1, 0, 3), P(0, 0, 0, 1))
         assert rf.degree_pair == (2, 3)
+
+
+# -- Fraction oracles for the integer kernels ------------------------------
+#
+# These are the Fraction algorithms the kernels replaced, on bare coefficient
+# tuples, so that they share no code with the library.
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _mul_oracle(a, b):
+    """Schoolbook product with a Fraction per partial product."""
+    if not a or not b:
+        return ()
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _divmod_oracle(a, b):
+    rem = list(a)
+    quo = [F(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quo[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    return _trim(quo), _trim(rem[:len(b) - 1])
+
+
+def _monic_oracle(a):
+    return tuple(c / a[-1] for c in a) if a else a
+
+
+def _gcd_oracle(a, b):
+    """Euclid on Fractions, monic at each step."""
+    x, y = a, b
+    while y:
+        x, y = y, _monic_oracle(_divmod_oracle(x, y)[1])
+    return _monic_oracle(x)
+
+
+def _eval_oracle(a, x):
+    acc = F(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _compose_oracle(a, inner):
+    acc = ()
+    for c in reversed(a):
+        prod = list(_mul_oracle(acc, inner))
+        prod += [F(0)] * (1 - len(prod))
+        prod[0] += c
+        acc = _trim(prod)
+    return acc
+
+
+def _canonical_oracle(num, den):
+    """(num, den) reduced by the gcd, denominator monic."""
+    if not num:
+        return (), (F(1),)
+    g = _gcd_oracle(num, den)
+    num, den = _divmod_oracle(num, g)[0], _divmod_oracle(den, g)[0]
+    return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
+
+
+def _roots_above_oracle(p, a):
+    """Classical Sturm count on the Fraction square-free part."""
+    g = _gcd_oracle(p, tuple(k * c for k, c in enumerate(p) if k))
+    q = _divmod_oracle(p, g)[0]
+    if len(q) < 2:
+        return 0
+    chain = [q, tuple(k * c for k, c in enumerate(q) if k)]
+    while chain[-1]:
+        chain.append(tuple(-c for c in _divmod_oracle(chain[-2], chain[-1])[1]))
+    chain.pop()
+
+    def variations(values):
+        signs = [v > 0 for v in values if v]
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    return (variations([_eval_oracle(c, F(a)) for c in chain])
+            - variations([c[-1] for c in chain]))
+
+
+small_coeffs = st.lists(coeff, min_size=0, max_size=6).map(_trim)
+# Coefficients well past 64 bits in numerator and denominator.
+wide_coeff = st.builds(F, st.integers(-2 ** 130, 2 ** 130), st.integers(1, 2 ** 100))
+wide_coeffs = st.lists(wide_coeff, min_size=0, max_size=5).map(_trim)
+any_coeffs = st.one_of(small_coeffs, wide_coeffs)
+nonzero_coeffs = any_coeffs.filter(bool)
+
+
+class TestKernelsAgainstFractionOracles:
+    @given(a=any_coeffs, b=any_coeffs)
+    @settings(max_examples=150, deadline=None)
+    def test_product(self, a, b):
+        assert (Polynomial(a) * Polynomial(b)).coeffs == _mul_oracle(a, b)
+
+    @given(a=any_coeffs, b=any_coeffs)
+    @settings(max_examples=100, deadline=None)
+    def test_sum_difference_and_value(self, a, b):
+        n = max(len(a), len(b))
+        pa = list(a) + [F(0)] * (n - len(a))
+        pb = list(b) + [F(0)] * (n - len(b))
+        assert (Polynomial(a) + Polynomial(b)).coeffs == _trim(x + y for x, y in zip(pa, pb))
+        assert (Polynomial(a) - Polynomial(b)).coeffs == _trim(x - y for x, y in zip(pa, pb))
+        for x in (F(0), F(1), F(-7, 3), F(2 ** 70 + 1, 3 ** 50)):
+            assert Polynomial(a).eval(x) == _eval_oracle(a, x)
+
+    @given(a=any_coeffs, inner=any_coeffs)
+    @settings(max_examples=100, deadline=None)
+    def test_compose(self, a, inner):
+        out = Polynomial(a).compose(Polynomial(inner, "m"))
+        assert out.coeffs == _compose_oracle(a, inner)
+        assert out.var == "m"
+
+    @given(f=nonzero_coeffs, g1=any_coeffs, g2=any_coeffs)
+    @settings(max_examples=150, deadline=None)
+    def test_gcd_and_canonical_form_with_a_planted_factor(self, f, g1, g2):
+        a, b = _mul_oracle(f, g1), _mul_oracle(f, g2)
+        g = poly_gcd(Polynomial(a), Polynomial(b))
+        assert g.coeffs == _gcd_oracle(a, b)
+        if b:
+            rf = RationalFunction(Polynomial(a), Polynomial(b))
+            assert (rf.num.coeffs, rf.den.coeffs) == _canonical_oracle(a, b)
+
+    def test_gcd_of_zero_and_constant_inputs(self):
+        zero, seven, p = P(), P(7), P(F(2, 3), 0, -4)
+        assert poly_gcd(zero, zero).is_zero
+        assert poly_gcd(zero, p).coeffs == _monic_oracle(p.coeffs) == (F(-1, 6), 0, 1)
+        assert poly_gcd(p, zero).coeffs == _monic_oracle(p.coeffs)
+        assert poly_gcd(seven, p) == poly_gcd(p, seven) == P(1)
+        assert poly_gcd(seven, zero) == poly_gcd(P(F(-5, 2)), P(3)) == P(1)
+        assert (p * zero).is_zero and (zero * p).is_zero
+        assert (p * seven).coeffs == _mul_oracle(p.coeffs, seven.coeffs)
+        assert RationalFunction(zero, p) == RationalFunction(P(0), P(1))
+        assert RationalFunction(P(6), P(F(-3, 4))).num == P(-8)
+
+    def test_wide_planted_factor(self):
+        big = 2 ** 200 + 235
+        f = (F(big, 3), F(-1, big), F(7))
+        a = _mul_oracle(f, (F(1, big), F(big + 2)))
+        b = _mul_oracle(f, (F(-3), F(5, 7), F(big)))
+        assert poly_gcd(Polynomial(a), Polynomial(b)).coeffs == _monic_oracle(f)
+        rf = RationalFunction(Polynomial(a), Polynomial(b))
+        assert (rf.num.coeffs, rf.den.coeffs) == _canonical_oracle(a, b)
+
+    @given(p=nonzero_coeffs)
+    @settings(max_examples=80, deadline=None)
+    def test_primitive(self, p):
+        prim, factor = Polynomial(p).primitive()
+        assert factor > 0
+        assert prim.coeffs == tuple(c * factor for c in p)
+        assert all(c.denominator == 1 for c in prim.coeffs)
+
+    @given(roots=st.lists(st.fractions(-6, 6, max_denominator=4), min_size=1, max_size=5),
+           extra=small_coeffs, lead=st.sampled_from([F(-3), F(-1, 2), F(1), F(5, 3)]),
+           a=st.fractions(-7, 7, max_denominator=3))
+    @settings(max_examples=150, deadline=None)
+    def test_root_count_with_either_leading_sign(self, roots, extra, lead, a):
+        p = (lead,)
+        for r in roots:
+            p = _mul_oracle(p, (-r, F(1)))
+        if extra:
+            p = _mul_oracle(p, extra)
+        assert count_roots_above(Polynomial(p), a) == _roots_above_oracle(p, a)
+
+    @given(p=wide_coeffs.filter(lambda p: len(p) > 1), a=st.sampled_from([F(0), F(1), F(-2, 3)]))
+    @settings(max_examples=60, deadline=None)
+    def test_root_count_on_wide_coefficients(self, p, a):
+        assert count_roots_above(Polynomial(p), a) == _roots_above_oracle(p, a)
+
+    def test_root_count_with_negative_leading_coefficients(self):
+        # -(x-1)(x-2)(x-4): the chain starts with a negative leading term.
+        p = _mul_oracle(_mul_oracle((F(-1), F(1)), (F(-2), F(1))), (F(4), F(-1)))
+        for a, expected in ((0, 3), (F(3, 2), 2), (3, 1), (5, 0)):
+            assert count_roots_above(Polynomial(p), a) == expected
+            assert _roots_above_oracle(p, a) == expected
+        # 1 - x^2: dividing by p' = -2x takes one elimination step, so a
+        # signed scale lc(p') would flip the sign of the next chain element.
+        for a, expected in ((-2, 2), (0, 1), (F(1, 2), 1), (2, 0)):
+            assert count_roots_above(P(1, 0, -1), a) == expected
+
+    @given(squares=st.lists(st.fractions(0, 9, max_denominator=3), min_size=1, max_size=3),
+           lead=st.sampled_from([F(-2), F(-1, 3), F(1), F(7, 2)]),
+           a=st.fractions(-4, 4, max_denominator=2))
+    @settings(max_examples=100, deadline=None)
+    def test_root_count_of_even_polynomials(self, squares, lead, a):
+        # Even polynomials skip every other elimination step in the chain.
+        p = (lead,)
+        for r in squares:
+            p = _mul_oracle(p, (-r, F(0), F(1)))
+        assert count_roots_above(Polynomial(p), a) == _roots_above_oracle(p, a)

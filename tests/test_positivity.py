@@ -748,7 +748,20 @@ class TestCertify:
     def test_bounds_skipped_off_family(self, natural_gens):
         report = certify(natural_gens, 5, CertifyOptions(bounds=True))
         assert report.bound_report is None
-        assert "skipped" in report.notes
+        assert ("bound checks skipped: no certified floor for this family"
+                in report.notes.split("; "))
+
+    def test_bounds_skipped_when_the_pivots_stop(self, monkeypatch):
+        # Every family with a floor has positive pivots, so give a table whose
+        # pivot 1 vanishes the odd floor to reach the truncated case.
+        g = FactorableGenerators(TableWeights((1, 1, 2, 4, 1)))
+        monkeypatch.setattr(positivity, "known_floor", lambda weights: odd_delta_floor())
+        report = certify(g, 3, CertifyOptions(bounds=True, override_hypotheses=True))
+        assert report.delta_stopped_at == 1
+        assert report.bound_report is None
+        assert ("bound checks skipped: pivot sequence stopped at n = 1"
+                in report.notes.split("; "))
+        assert "no certified floor" not in report.notes
 
     def test_bounds_apply_to_multiples_of_the_odd_family(self, odd_gens):
         scaled = certify(FactorableGenerators(LinearWeights(4, 2)), 30,

@@ -21,6 +21,8 @@ from hypomean import (
     symbolic_tridiagonal,
     tridiagonalize,
 )
+from hypomean import symbolic
+from hypomean.cli import EXIT_USAGE, main
 from hypomean.symbolic import certify_nonneg_on_ray, certify_positive_on_ray
 
 F = Fraction
@@ -127,3 +129,42 @@ class TestInductionCertificate:
         floor = RationalFunction(Polynomial((0, 1)), Polynomial((1, 1)))
         with pytest.raises(ValueError, match="vanishes at 0"):
             induction_certificate(LinearWeights(2, 1), floor)
+
+
+class TestFamilyMemo:
+    def test_repeated_calls_equal_a_fresh_derivation(self):
+        for weights in FAMILIES + [LinearWeights(F(7, 3), F(5, 8))]:
+            q, tri = symbolic_q(weights), symbolic_tridiagonal(weights)
+            assert symbolic_q(weights) is q
+            assert symbolic_tridiagonal(weights) is tri
+            fresh_q = symbolic._symbolic_q.__wrapped__(weights.alpha, weights.beta)
+            assert fresh_q == q
+            assert symbolic._eliminate.__wrapped__(fresh_q) == tri
+
+    def test_memo_is_keyed_on_the_weights_not_their_ratio(self):
+        odd, scaled = LinearWeights(2, 1), LinearWeights(4, 2)
+        q, q2 = symbolic_q(odd), symbolic_q(scaled)
+        assert q2.diagonal == q.diagonal
+        assert q2.offdiag_row == q.offdiag_row.scale(F(1, 2))
+        assert q2.offdiag_col == q.offdiag_col.scale(2)
+        tri, tri2 = symbolic_tridiagonal(odd), symbolic_tridiagonal(scaled)
+        assert (tri2.z, tri2.d, tri2.s) == (tri.z, tri.d, tri.s)
+
+    def test_memo_is_bounded(self):
+        assert symbolic._symbolic_q.cache_info().maxsize == symbolic.FAMILY_MEMO_SIZE
+        assert symbolic._eliminate.cache_info().maxsize == symbolic.FAMILY_MEMO_SIZE
+
+    def test_table_weights_still_raise(self, capsys):
+        symbolic_tridiagonal(LinearWeights(1, 1))
+        for derive in (symbolic_q, symbolic_tridiagonal):
+            with pytest.raises(ValueError, match="linear weight family only"):
+                derive(TableWeights((1, 3, 5, 7)))
+        assert main(["symbolic", "--weights", "table:1,3,5", "--emit", "tridiag"]) == EXIT_USAGE
+        assert "linear weight family only" in capsys.readouterr().err
+
+    def test_reference_certificate_from_a_warm_memo(self):
+        for weights in (LinearWeights(2, 1), LinearWeights(4, 2)):
+            for _ in range(2):
+                cert = induction_certificate(weights, known_floor(weights))
+                assert cert.nonneg_for_n_ge_1 and cert.base_holds
+                assert reference_ratio_odd(cert.certificate) == 1
