@@ -34,7 +34,6 @@ from .positivity import (
     CertifyOptions,
     DegenerateFactorError,
     DeltaSequence,
-    StructureError,
     TridiagonalForm,
     Verdict,
     certify,
@@ -50,13 +49,11 @@ from .positivity import (
 from .polynomials import Polynomial, RationalFunction, count_roots_above, poly_gcd
 from .symbolic import (
     CertificateInconclusive,
-    DegreeReport,
     InductionCertificate,
     ODD_CERTIFICATE_REFERENCE,
     SymbolicQ,
     SymbolicStructureError,
     SymbolicTridiagonal,
-    degree_report,
     induction_certificate,
     known_floor,
     odd_delta_floor,

@@ -40,7 +40,6 @@ from .positivity import (
 )
 from .symbolic import (
     ODD_CERTIFICATE_REFERENCE,
-    degree_report,
     induction_certificate,
     known_floor,
     odd_delta_floor,
@@ -165,16 +164,13 @@ def _cmd_symbolic(args: argparse.Namespace) -> int:
     code = EXIT_OK
     if args.emit == "qdiag":
         q = symbolic_q(weights)
-        rep = degree_report(weights)
+        num_degree, den_degree = q.diagonal.degree_pair
         payload = {
             "family": family,
             "diagonal": _rf_json(q.diagonal),
             "offdiag_row": _rf_json(q.offdiag_row),
             "offdiag_col": _rf_json(q.offdiag_col),
-            "degrees": {
-                "num": rep.q_diag_num_degree,
-                "den": rep.q_diag_den_degree,
-            },
+            "degrees": {"num": num_degree, "den": den_degree},
         }
     elif args.emit == "tridiag":
         tri = symbolic_tridiagonal(weights)
@@ -251,14 +247,14 @@ def _check_tridiagonal_forms() -> tuple[bool, str]:
     for n in range(N):
         if elimination_multiplier(Q, n) != z_closed_odd(n):
             return False, f"multiplier mismatch at {n}"
-    T = tridiagonalize(Q, [z_closed_odd(n) for n in range(N)])
+    T = tridiagonalize(Q)
     for n in range(N):
         if T.d[n] != d_closed_odd(n) or T.s[n] != s_closed_odd(n):
             return False, f"tridiagonal entry mismatch at {n}"
     if T.d[N] != q_entry(g, N, N):
         return False, "last diagonal is not q_NN"
     Q1 = finite_section(g, MatrixKind.Q, 1)
-    T1 = tridiagonalize(Q1, [z_closed_odd(0)])
+    T1 = tridiagonalize(Q1)
     det_pivots = delta_sequence(T1).determinant()
     det_minor = leading_minors(Q1)[-1]
     target = Fraction(2663, 145800)
@@ -282,8 +278,7 @@ def _check_determinant_preservation() -> tuple[bool, str]:
         g = FactorableGenerators(parse_weight_spec(spec))
         minors = leading_minors(finite_section(g, MatrixKind.Q, 15))
         for N in range(16):
-            QN = finite_section(g, MatrixKind.Q, N)
-            T = tridiagonalize(QN, [elimination_multiplier(QN, n) for n in range(N)])
+            T = tridiagonalize(finite_section(g, MatrixKind.Q, N))
             if delta_sequence(T).determinant() != minors[N]:
                 return False, f"det mismatch for {spec} at N={N}"
     return True, "pivot products equal elimination minors, N <= 15, three families"
@@ -303,14 +298,11 @@ def _check_certificate() -> tuple[bool, str]:
     return True, f"nonnegative for n >= 1; reference ratio {fraction_str(ratio)}"
 
 
-def _check_degree_reports() -> tuple[bool, str]:
-    r21 = degree_report(LinearWeights(2, 1))
-    r31 = degree_report(LinearWeights(3, 1))
-    ok = (r21.q_diag_num_degree, r21.q_diag_den_degree) == (4, 5) and \
-         (r31.q_diag_num_degree, r31.q_diag_den_degree) == (6, 7)
-    detail = (f"linear:2,1 -> ({r21.q_diag_num_degree}, {r21.q_diag_den_degree}); "
-              f"linear:3,1 -> ({r31.q_diag_num_degree}, {r31.q_diag_den_degree})")
-    return ok, detail
+def _check_q_diagonal_degrees() -> tuple[bool, str]:
+    r21 = symbolic_q(LinearWeights(2, 1)).diagonal.degree_pair
+    r31 = symbolic_q(LinearWeights(3, 1)).diagonal.degree_pair
+    ok = r21 == (4, 5) and r31 == (6, 7)
+    return ok, f"linear:2,1 -> ({r21[0]}, {r21[1]}); linear:3,1 -> ({r31[0]}, {r31[1]})"
 
 
 _BUNDLE = (
@@ -320,7 +312,7 @@ _BUNDLE = (
     ("delta-floors-N500", _check_delta_floors),
     ("determinant-preservation-N15", _check_determinant_preservation),
     ("induction-certificate", _check_certificate),
-    ("degree-reports", _check_degree_reports),
+    ("degree-reports", _check_q_diagonal_degrees),
 )
 
 

@@ -267,15 +267,13 @@ def fraction_str(value: Fraction) -> str:
         sys.set_int_max_str_digits(limit)
 
 
+# The dense kinds.  Q and P-closed come back factored before this table
+# is read.
 _ENTRY_FUNCS: dict[MatrixKind, Callable[[FactorableGenerators, int, int], Fraction]] = {
     MatrixKind.M: m_entry,
     MatrixKind.B: b_entry,
-    MatrixKind.P_CLOSED: p_entry_closed,
     MatrixKind.P_ORACLE: p_entry_oracle,
-    MatrixKind.Q: q_entry,
 }
-
-_SYMMETRIC_KINDS = {MatrixKind.P_CLOSED, MatrixKind.P_ORACLE, MatrixKind.Q}
 
 
 def require_weights(g: FactorableGenerators, kind: MatrixKind, N: int) -> None:
@@ -307,7 +305,7 @@ def finite_section(g: FactorableGenerators, kind: MatrixKind,
     the diagonal plus the off-diagonal factors R_k and C_k (negated for P),
     computed once per index.  Their values are identical to the per-entry
     functions, which the test suite pins down.  The other kinds are dense;
-    sections of P and Q carry the symmetric flag.
+    the P-oracle section carries the symmetric flag.
     """
     if N < 0:
         raise ValueError("section size N must be nonnegative")
@@ -325,4 +323,4 @@ def finite_section(g: FactorableGenerators, kind: MatrixKind,
     f = _ENTRY_FUNCS[kind]
     entries = tuple(
         tuple(f(g, i, j) for j in range(size)) for i in range(size))
-    return ExactMatrix(entries, symmetric=kind in _SYMMETRIC_KINDS)
+    return ExactMatrix(entries, symmetric=kind is MatrixKind.P_ORACLE)

@@ -43,17 +43,6 @@ from .weights import FactorableGenerators, HypothesisReport, check_hypotheses
 _ZERO = Fraction(0)
 
 
-class StructureError(RuntimeError):
-    """Elimination failed to reach tridiagonal form; carries the offender."""
-
-    def __init__(self, i: int, j: int, value: Fraction):
-        super().__init__(
-            f"entry ({i}, {j}) = {fraction_str(value)} survived elimination beyond the "
-            "first off-diagonal; the section lacks the product structure")
-        self.position = (i, j)
-        self.value = value
-
-
 class DegenerateFactorError(RuntimeError):
     """A vanishing column factor makes the closed-form multiplier undefined."""
 
@@ -244,55 +233,29 @@ def s_closed_odd(n: int) -> Fraction:
                     (n + 2) ** 2 * (n + 3) * (2 * n + 3))
 
 
-def tridiagonalize(Q: FactoredSection, z: Sequence[Fraction]) -> TridiagonalForm:
-    """Reduce Q to Y = Z^T Q Z with the given multipliers, in O(N).
+def tridiagonalize(Q: FactoredSection) -> TridiagonalForm:
+    """Reduce Q to Y = Z^T Q Z with the multipliers z_n of
+    elimination_multiplier, in O(N).
 
     Z subtracts z_n times column (row) n+1 from column (row) n, for
-    n = 0..N-1.  The result is asserted to be exactly tridiagonal and
-    symmetric; any nonzero entry beyond the first off-diagonal raises
-    StructureError at the first such entry in row-major order.
-
-    With u_i = R_i - z_i R_{i+1} (u_N = R_N) and v_j = C_j - z_j C_{j+1},
-    every entry of Y with i > j+1 is u_i v_j, and symmetrically above.
-    The band is
+    n = 0..N-1.  With u_i = R_i - z_i R_{i+1} (u_N = R_N) and
+    v_j = C_j - z_j C_{j+1}, every entry of Y with i > j+1 is u_i v_j, and
+    symmetrically above.  The multipliers z_n = C_n / C_{n+1} (0 where
+    both factors vanish) make v_n = 0 for every n, so Y is tridiagonal by
+    construction.  The band is
 
         d_n = q_nn - 2 z_n q_{n+1,n} + z_n^2 q_{n+1,n+1}   (d_N = q_NN)
         s_n = q_{n+1,n} - z_n q_{n+1,n+1} - z_{n+1} R_{n+2} v_n
 
-    and the last term of s_n is zero once the structure check has passed:
-    v_n != 0 then forces u_p = 0 for every p >= n+2, and going down from
-    u_N = R_N that makes R_N, ..., R_{n+2} all zero.  The zero tests
-    cross-multiply, and each d_n and s_n is one Fraction built from
-    integers.
+    and v_n = 0 makes the last term of s_n zero.  Each d_n and s_n is one
+    Fraction built from integers.  A column factor that vanishes where the
+    one before it does not leaves z_n undefined: DegenerateFactorError.
     """
-    if not Q.symmetric:
-        raise ValueError("tridiagonalization expects a symmetric section")
     if not isinstance(Q, FactoredSection):
         raise TypeError("tridiagonalization takes a FactoredSection")
     N = Q.n_rows - 1
-    if len(z) != N:
-        raise ValueError(f"need {N} multipliers, got {len(z)}")
+    z = [elimination_multiplier(Q, n) for n in range(N)]
     q, R, C = Q.diag, Q.row, Q.col
-
-    def cancels(x: Fraction, zk: Fraction, y: Fraction) -> bool:
-        # x - zk y == 0
-        return (x.numerator * zk.denominator * y.denominator
-                == zk.numerator * y.numerator * x.denominator)
-
-    def u_nonzero(p: int) -> bool:
-        return bool(R[N]) if p == N else not cancels(R[p], z[p], R[p + 1])
-
-    # A nonzero u_p v_q with p >= q+2 shows up at (q, p) above the diagonal,
-    # in row q, before it shows up at (p, q) in row p.  So the first
-    # offending entry in row-major order is (i, j) with i the least q that
-    # has v_q != 0 and some later nonzero u_p, and j the least such p.
-    last_u = next((p for p in range(N, 1, -1) if u_nonzero(p)), None)
-    if last_u is not None:
-        for i in range(last_u - 1):
-            if not cancels(C[i], z[i], C[i + 1]):
-                j = next(p for p in range(i + 2, N + 1) if u_nonzero(p))
-                u = R[N] if j == N else R[j] - z[j] * R[j + 1]
-                raise StructureError(i, j, u * (C[i] - z[i] * C[i + 1]))
     d, s = [], []
     for n in range(N):
         zn, zd = z[n].numerator, z[n].denominator
@@ -466,10 +429,9 @@ class BoundReport:
         }
 
 
-def check_delta_bounds(T: TridiagonalForm, D: DeltaSequence,
-                       floor: RationalFunction) -> BoundReport:
+def check_delta_bounds(D: DeltaSequence, floor: RationalFunction) -> BoundReport:
     """Compare delta_n > floor(n) for n <= N-1, and the last delta against
-    d_N - s_{N-1}^2 / floor(N-1) (d_0 when N = 0).
+    d_N - s_{N-1}^2 / floor(N-1) (d_0 when N = 0), on the form D.form.
 
     That final bound is one step of the pivot recursion with the floor in
     place of delta_{N-1}: 0 < floor(N-1) <= delta_{N-1} makes
@@ -477,9 +439,10 @@ def check_delta_bounds(T: TridiagonalForm, D: DeltaSequence,
     positive at every checked index, or ValueError is raised.  Every
     comparison is an exact rational one.
     """
+    if not D.complete:
+        raise ValueError("bound check needs a complete delta sequence")
+    T = D.form
     N = T.N
-    if not D.complete or D.form != T:
-        raise ValueError("bound check needs the complete delta sequence of this form")
     floors = [floor.eval(n) for n in range(N)]
     for n, value in enumerate(floors):
         if value <= 0:
@@ -517,8 +480,8 @@ class CertificationReport:
     every cross-checked minor) is strictly positive.  A zero pivot or a
     refused hypothesis yields Inconclusive, never a silent pass.  Timings
     hold the seconds of each stage that ran (hypotheses_s, build_section_s,
-    multipliers_s, tridiagonal_s, pivots_s, determinant_s, minimum_s,
-    bounds_s, minors_s); they are diagnostics only and are excluded from
+    tridiagonal_s, pivots_s, determinant_s, minimum_s, bounds_s,
+    minors_s); they are diagnostics only and are excluded from
     the JSON form so identical configurations serialize byte-identically.
     """
 
@@ -577,8 +540,10 @@ def certify(g: FactorableGenerators, N: int,
 
     Refuses (Inconclusive) when the structural hypotheses fail on the
     prefix, unless overridden.  The tridiagonal route is the default; a
-    degenerate multiplier or a structure failure falls back to the exact
-    minor computation, which is slower but assumption-free.
+    column factor that leaves a multiplier undefined falls back to the
+    exact minor computation, which is slower but assumption-free.  The
+    minors route runs neither the bound checks nor the minor cross-check,
+    and its notes name each one that was requested.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -618,30 +583,29 @@ def certify(g: FactorableGenerators, N: int,
     Q = timed("build_section_s", finite_section, g, MatrixKind.Q, N)
 
     D = None
-    fallback = False
     notes = []
-    if not options.minors_only:
+    if options.minors_only:
+        notes.append("minors-only certification requested")
+    else:
         try:
-            z = timed("multipliers_s",
-                      lambda: [elimination_multiplier(Q, n) for n in range(N)])
-            T = timed("tridiagonal_s", tridiagonalize, Q, z)
-            D = timed("pivots_s", delta_sequence, T)
-        except (DegenerateFactorError, StructureError) as exc:
-            fallback = True
+            T = timed("tridiagonal_s", tridiagonalize, Q)
+        except DegenerateFactorError as exc:
             notes.append(f"tridiagonal route unavailable ({exc}); "
                          "using exact leading minors")
-    else:
-        fallback = True
-        notes.append("minors-only certification requested")
+        else:
+            D = timed("pivots_s", delta_sequence, T)
 
-    if fallback:
+    if D is None:
         minors = timed("minors_s", leading_minors, Q)
         verdict, why = _verdict_from_minors(minors)
         notes.append(why)
+        if options.bounds:
+            notes.append("bound checks skipped: no pivots on the minors route")
+        if options.cross_check_minors:
+            notes.append("minor cross-check skipped: no pivots on the minors route")
         return build(verdict, det=minors[-1], minors_agree=None, fallback=True,
                      notes="; ".join(notes))
 
-    assert D is not None
     det = timed("determinant_s", D.determinant)
     min_delta = timed("minimum_s", lambda: D.min_delta)
     first_np = D.first_nonpositive
@@ -667,7 +631,7 @@ def certify(g: FactorableGenerators, N: int,
             notes.append("bound checks skipped: pivot sequence stopped at "
                          f"n = {D.stopped_at}")
         else:
-            bound_report = timed("bounds_s", check_delta_bounds, T, D, floor)
+            bound_report = timed("bounds_s", check_delta_bounds, D, floor)
             notes.append("delta floors hold" if bound_report.all_ok
                          else "delta floor comparisons FAILED")
 

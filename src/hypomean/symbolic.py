@@ -86,12 +86,6 @@ class InductionCertificate:
     base_holds: bool
 
 
-@dataclass(frozen=True)
-class DegreeReport:
-    q_diag_num_degree: int
-    q_diag_den_degree: int
-
-
 def _require_linear(weights) -> LinearWeights:
     if not isinstance(weights, LinearWeights):
         raise ValueError("symbolic derivations are implemented for the "
@@ -350,9 +344,3 @@ def reference_ratio_odd(certificate: Polynomial) -> Fraction | None:
     """Proportionality constant against the known odd-weights certificate."""
     ref = Polynomial(ODD_CERTIFICATE_REFERENCE, certificate.var)
     return proportionality_ratio(certificate, ref)
-
-
-def degree_report(weights) -> DegreeReport:
-    """Degrees of the reduced diagonal of Q for a linear family."""
-    num_deg, den_deg = symbolic_q(weights).diagonal.degree_pair
-    return DegreeReport(q_diag_num_degree=num_deg, q_diag_den_degree=den_deg)

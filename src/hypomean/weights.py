@@ -117,12 +117,13 @@ class FactorableGenerators:
     integers: c^_k = lambda w_k, W^_k = lambda W_k and S^_k = lambda^2 S_k,
     where W_k and S_k are the prefix sums of w and of w^2.  The closed-form
     entries of Q are read from these integers, so the fast paths build a
-    Fraction only for a value they keep.  The weights and the row factors
-    a_i = 1/W_i are memoized as Fractions; the columns of the auxiliary
-    factor B, which the finite-sum oracle for P reads, as integers over
-    one denominator per column.  The caches only ever grow and are
-    extended under a lock, so concurrent readers are safe; they live as
-    long as this object.
+    Fraction only for a value they keep; the weights and the row factors
+    a_i = 1/W_i, which only the M and B sections read, are built from the
+    integers on each call.  The columns of the auxiliary factor B, which
+    the finite-sum oracle for P reads, are memoized as integers over one
+    denominator per column.  The caches only ever grow and are extended
+    under a lock, so concurrent readers are safe; they live as long as
+    this object.
     """
 
     def __init__(self, weights: WeightSequence):
@@ -131,8 +132,6 @@ class FactorableGenerators:
                   else weights.values)
         self.scale = math.lcm(*(v.denominator for v in values))
         self._hat: list[tuple[int, int, int]] = []
-        self._w: list[Fraction] = []
-        self._a: list[Fraction] = []
         self._B: dict[int, tuple[tuple[int, ...], int]] = {}
         self._lock = threading.Lock()
 
@@ -148,16 +147,6 @@ class FactorableGenerators:
                     _, W, S = self._hat[-1]
                     self._hat.append((c, W + c, S + c * c))
 
-    def _ensure_fractions(self, upto: int) -> None:
-        # _a is extended last: once it covers `upto`, _w does too.
-        self.scaled(upto)
-        with self._lock:
-            lam = self.scale
-            while len(self._a) <= upto:
-                c, W, _ = self._hat[len(self._a)]
-                self._w.append(Fraction(c, lam))
-                self._a.append(Fraction(lam, W))
-
     def scaled(self, k: int) -> tuple[int, int, int]:
         """The integers (c^_k, W^_k, S^_k) = (lambda w_k, lambda W_k,
         lambda^2 S_k), memoized."""
@@ -168,38 +157,14 @@ class FactorableGenerators:
         return self._hat[k]
 
     def weight(self, n: int) -> Fraction:
-        """w_n, memoized."""
-        if n < 0:
-            raise IndexError("weight index must be nonnegative")
-        if n >= len(self._a):
-            self._ensure_fractions(n)
-        return self._w[n]
+        """w_n = c^_n / lambda."""
+        return Fraction(self.scaled(n)[0], self.scale)
 
     c = weight
 
-    def partial_sum(self, i: int) -> Fraction:
-        """W_i = sum of w_0..w_i, exact and O(1) after the first call."""
-        if i < 0:
-            raise IndexError("partial sum index must be nonnegative")
-        return Fraction(self.scaled(i)[1], self.scale)
-
     def a(self, i: int) -> Fraction:
-        """a_i = 1/W_i, memoized."""
-        if i < 0:
-            raise IndexError("row factor index must be nonnegative")
-        if i >= len(self._a):
-            self._ensure_fractions(i)
-        return self._a[i]
-
-    def generators(self, i: int) -> tuple[Fraction, Fraction]:
-        """(a_i, c_i) = (1/W_i, w_i)."""
-        return self.a(i), self.c(i)
-
-    def c_squared_sum(self, j: int) -> Fraction:
-        """Prefix sum c_0^2 + ... + c_j^2."""
-        if j < 0:
-            raise IndexError("prefix sum index must be nonnegative")
-        return Fraction(self.scaled(j)[2], self.scale ** 2)
+        """a_i = 1/W_i = lambda / W^_i."""
+        return Fraction(self.scale, self.scaled(i)[1])
 
     def b_column_scaled(self, j: int) -> tuple[tuple[int, ...], int]:
         """Column j of the auxiliary factor B down to its last nonzero
@@ -223,12 +188,6 @@ class FactorableGenerators:
             with self._lock:
                 column = self._B.setdefault(j, column)
         return column
-
-    def b_column(self, j: int) -> tuple[Fraction, ...]:
-        """Column j of B as Fractions, (b_0j, ..., b_{j+1,j}), from the
-        integer memo of b_column_scaled."""
-        entries, den = self.b_column_scaled(j)
-        return tuple(Fraction(x, den) for x in entries)
 
     def spec_string(self) -> str:
         return self.weights.spec_string()

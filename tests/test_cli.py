@@ -57,6 +57,22 @@ class TestZeroWeights:
         assert "refused" in json.loads(capsys.readouterr().out)["notes"]
 
 
+class TestMinorsFallback:
+    def test_notes_name_each_requested_check_it_skips(self, capsys):
+        # The column factor of this table vanishes at index 3 but not at 2.
+        args = ["certify", "--weights", "table:1,2,4,3,3", "--N", "3",
+                "--cross-check-minors", "--bounds"]
+        assert main(args) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["used_minors_fallback"]
+        assert report["minors_agree"] is None and report["bounds"] is None
+        assert report["notes"] == (
+            "tridiagonal route unavailable (column factor vanishes at index 3 but "
+            "not 2); using exact leading minors; all leading minors positive; "
+            "bound checks skipped: no pivots on the minors route; "
+            "minor cross-check skipped: no pivots on the minors route")
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("args, code", [
         (["dump", "--N", "2", "--kind", "M"], EXIT_OK),

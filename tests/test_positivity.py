@@ -15,7 +15,6 @@ from hypomean import (
     FactoredSection,
     LinearWeights,
     MatrixKind,
-    StructureError,
     TableWeights,
     TridiagonalForm,
     Verdict,
@@ -55,7 +54,8 @@ def _dense(section) -> ExactMatrix:
 
 def _tridiagonalize_dense(Q: ExactMatrix, z) -> TridiagonalForm:
     """Dense oracle for tridiagonalize: Y = Z^T Q Z by a column pass then a
-    row pass, in place, on the dense entries, then an entrywise check.
+    row pass, in place, on the dense entries, then an entrywise assertion
+    that Y is symmetric tridiagonal.
 
     Each step only reads a column or row that has not been modified yet,
     so the passes run in increasing order.
@@ -68,13 +68,9 @@ def _tridiagonalize_dense(Q: ExactMatrix, z) -> TridiagonalForm:
     for m in range(N):
         for j in range(N + 1):
             rows[m][j] -= z[m] * rows[m + 1][j]
-    for i in range(N + 1):
-        for j in range(N + 1):
-            if abs(i - j) > 1 and rows[i][j] != 0:
-                raise StructureError(i, j, rows[i][j])
-    for n in range(N):
-        if rows[n + 1][n] != rows[n][n + 1]:
-            raise StructureError(n, n + 1, rows[n][n + 1] - rows[n + 1][n])
+    assert all(rows[i][j] == 0 for i in range(N + 1) for j in range(N + 1)
+               if abs(i - j) > 1)
+    assert all(rows[n + 1][n] == rows[n][n + 1] for n in range(N))
     return TridiagonalForm(d=tuple(rows[k][k] for k in range(N + 1)),
                            s=tuple(rows[k + 1][k] for k in range(N)))
 
@@ -108,11 +104,17 @@ def _block_minors(m) -> list[Fraction]:
             for k in range(m.n_rows)]
 
 
-def _tridiagonal_outcome(reduce, Q, z):
+def _dense_route(section) -> TridiagonalForm:
+    """The dense oracle on the multipliers of elimination_multiplier."""
+    z = [elimination_multiplier(section, n) for n in range(section.n_rows - 1)]
+    return _tridiagonalize_dense(_dense(section), z)
+
+
+def _tridiagonal_outcome(reduce, section):
     try:
-        return reduce(Q, z)
-    except StructureError as exc:
-        return ("StructureError", exc.position, exc.value)
+        return reduce(section)
+    except DegenerateFactorError as exc:
+        return ("DegenerateFactorError", str(exc))
 
 
 def _pivot_oracle(T: TridiagonalForm) -> dict:
@@ -175,34 +177,21 @@ def _q_oracle(weights, N: int) -> ExactMatrix:
 
 
 @st.composite
-def _sections_with_multipliers(draw):
+def _family_sections(draw):
     g = draw(st.sampled_from(EQUIVALENCE_FAMILIES))
     kind = draw(st.sampled_from((MatrixKind.Q, MatrixKind.P_CLOSED)))
-    N = draw(st.integers(0, 8))
-    section = finite_section(g, kind, N)
-    mode = draw(st.sampled_from(("exact", "zero", "mixed")))
-    z = []
-    for n in range(N):
-        pick = mode if mode != "mixed" else draw(
-            st.sampled_from(("exact", "zero", "random")))
-        if pick == "exact":
-            z.append(elimination_multiplier(section, n))
-        elif pick == "zero":
-            z.append(F(0))
-        else:
-            z.append(draw(st.fractions(-3, 3, max_denominator=7)))
-    return section, z
+    return finite_section(g, kind, draw(st.integers(0, 8)))
 
 
 @st.composite
-def _random_factors_with_multipliers(draw):
-    """Arbitrary small factors with frequent zeros, so that many patterns
-    of vanishing u_i and v_j reach the structure check."""
+def _random_factored_sections(draw):
+    """Arbitrary small factors with frequent zeros, so that column factors
+    vanish in every pattern: both of a pair (z_n = 0), or only the second
+    (DegenerateFactorError)."""
     N = draw(st.integers(0, 7))
     small = st.integers(-2, 2).map(F)
-    diag, row, col, z = (tuple(draw(small) for _ in range(size))
-                         for size in (N + 1, N + 1, N + 1, N))
-    return FactoredSection(diag, row, col), z
+    diag, row, col = (tuple(draw(small) for _ in range(N + 1)) for _ in range(3))
+    return FactoredSection(diag, row, col)
 
 
 @st.composite
@@ -302,20 +291,20 @@ class TestEliminationMultiplier:
 class TestTridiagonalize:
     def test_n1_values(self, odd_gens):
         Q1 = finite_section(odd_gens, MatrixKind.Q, 1)
-        T = tridiagonalize(Q1, [z_closed_odd(0)])
+        T = tridiagonalize(Q1)
         assert T.d == (F(197, 720), F(83, 405))
         assert T.s == (F(-7, 36),)
 
     def test_n1_determinant_identity(self, odd_gens):
         Q1 = finite_section(odd_gens, MatrixKind.Q, 1)
-        T = tridiagonalize(Q1, [z_closed_odd(0)])
+        T = tridiagonalize(Q1)
         det_direct = Q1.entry(0, 0) * Q1.entry(1, 1) - Q1.entry(0, 1) ** 2
         assert det_direct == F(2663, 145800)
         assert T.d[0] * T.d[1] - T.s[0] ** 2 == F(2663, 145800)
 
     def test_n4_matches_closed_forms(self, odd_gens):
         Q4 = finite_section(odd_gens, MatrixKind.Q, 4)
-        T = tridiagonalize(Q4, [z_closed_odd(n) for n in range(4)])
+        T = tridiagonalize(Q4)
         assert T.d[0] == F(197, 720)
         assert T.d[1] == F(13488, 34020) == F(1124, 2835)
         for n in range(4):
@@ -323,66 +312,42 @@ class TestTridiagonalize:
             assert T.s[n] == s_closed_odd(n)
         assert T.d[4] == q_entry(odd_gens, 4, 4)
 
-    def test_wrong_multipliers_raise_structure_error(self, odd_gens):
-        Q3 = finite_section(odd_gens, MatrixKind.Q, 3)
-        with pytest.raises(StructureError) as exc:
-            tridiagonalize(Q3, [F(1, 2)] * 3)
-        i, j = exc.value.position
-        assert abs(i - j) > 1
-
-    def test_structure_error_names_a_value_past_the_digit_limit(self):
-        value = F(10**5000 + 1, 3)
-        message = str(StructureError(0, 2, value))
-        assert message.startswith("entry (0, 2) = 1" + "0" * 4999 + "1/3 survived")
-
-    def test_requires_symmetric_section(self, odd_gens):
-        M1 = finite_section(odd_gens, MatrixKind.M, 1)
-        with pytest.raises(ValueError):
-            tridiagonalize(M1, [F(1)])
-
-    def test_multiplier_count_checked(self, odd_gens):
-        Q2 = finite_section(odd_gens, MatrixKind.Q, 2)
-        with pytest.raises(ValueError):
-            tridiagonalize(Q2, [F(1, 2)])
-
 
 class TestFactoredTridiagonalize:
-    """The O(N) route on FactoredSection against dense elimination."""
+    """The O(N) route on FactoredSection against dense elimination with the
+    same multipliers; the dense oracle also asserts that the result is
+    tridiagonal."""
 
-    @given(case=_sections_with_multipliers())
+    @given(section=_family_sections())
     @settings(max_examples=150, deadline=None)
-    def test_matches_dense_elimination(self, case):
-        section, z = case
+    def test_matches_dense_elimination(self, section):
         assert isinstance(section, FactoredSection)
-        assert (_tridiagonal_outcome(tridiagonalize, section, z)
-                == _tridiagonal_outcome(_tridiagonalize_dense, _dense(section), z))
+        assert (_tridiagonal_outcome(tridiagonalize, section)
+                == _tridiagonal_outcome(_dense_route, section))
 
-    @given(case=_random_factors_with_multipliers())
+    @given(section=_random_factored_sections())
     @settings(max_examples=150, deadline=None)
-    def test_matches_dense_elimination_on_arbitrary_factors(self, case):
-        section, z = case
-        assert (_tridiagonal_outcome(tridiagonalize, section, z)
-                == _tridiagonal_outcome(_tridiagonalize_dense, _dense(section), z))
+    def test_matches_dense_elimination_on_arbitrary_factors(self, section):
+        assert (_tridiagonal_outcome(tridiagonalize, section)
+                == _tridiagonal_outcome(_dense_route, section))
 
     @pytest.mark.parametrize("N", [0, 1, 2, 7, 31, 60])
     def test_certify_deltas_match_dense_route(self, N):
         for g in EQUIVALENCE_FAMILIES:
-            section = finite_section(g, MatrixKind.Q, N)
-            z = [elimination_multiplier(section, n) for n in range(N)]
-            dense = _pivot_oracle(_tridiagonalize_dense(_dense(section), z))
+            dense = _pivot_oracle(_dense_route(finite_section(g, MatrixKind.Q, N)))
             report = certify(g, N)
             assert report.deltas == dense["deltas"]
             assert report.determinant == dense["determinant"]
 
     def test_dense_input_is_rejected(self, odd_gens):
         with pytest.raises(TypeError, match="FactoredSection"):
-            tridiagonalize(_dense(finite_section(odd_gens, MatrixKind.Q, 2)), [F(1)] * 2)
+            tridiagonalize(_dense(finite_section(odd_gens, MatrixKind.Q, 2)))
 
 
 class TestDeltaSequence:
     def test_flagship_n1(self, odd_gens):
         Q1 = finite_section(odd_gens, MatrixKind.Q, 1)
-        D = delta_sequence(tridiagonalize(Q1, [z_closed_odd(0)]))
+        D = delta_sequence(tridiagonalize(Q1))
         assert D.deltas[0] == F(197, 720)
         assert D.deltas[1] == F(83, 405) - F(245, 1773)
         assert D.all_positive and D.complete
@@ -475,7 +440,7 @@ class TestLeadingMinors:
         assert minors == _minors_by_fraction_sweep(_dense(Q))
         for k in range(N + 1):
             Qk = finite_section(g, MatrixKind.Q, k)
-            T = tridiagonalize(Qk, [elimination_multiplier(Qk, n) for n in range(k)])
+            T = tridiagonalize(Qk)
             assert delta_sequence(T).determinant() == minors[k]
         report = certify(g, N, CertifyOptions(cross_check_minors=True,
                                               override_hypotheses=override))
@@ -498,8 +463,7 @@ class TestLeadingMinors:
     def test_agrees_with_pivot_products(self, odd_gens):
         minors = leading_minors(finite_section(odd_gens, MatrixKind.Q, 10))
         for N in range(11):
-            QN = finite_section(odd_gens, MatrixKind.Q, N)
-            T = tridiagonalize(QN, [z_closed_odd(n) for n in range(N)])
+            T = tridiagonalize(finite_section(odd_gens, MatrixKind.Q, N))
             assert delta_sequence(T).determinant() == minors[N]
 
 
@@ -513,8 +477,7 @@ def _odd_final_floor() -> RationalFunction:
 
 
 def _tridiagonal(g, N):
-    Q = finite_section(g, MatrixKind.Q, N)
-    return tridiagonalize(Q, [elimination_multiplier(Q, n) for n in range(N)])
+    return tridiagonalize(finite_section(g, MatrixKind.Q, N))
 
 
 class TestDeltaBounds:
@@ -525,10 +488,9 @@ class TestDeltaBounds:
 
     def test_final_bound_at_n1(self, odd_gens):
         Q1 = finite_section(odd_gens, MatrixKind.Q, 1)
-        T = tridiagonalize(Q1, [z_closed_odd(0)])
-        D = delta_sequence(T)
+        D = delta_sequence(tridiagonalize(Q1))
         assert _odd_final_floor().eval(1) == F(7587, 116640)
-        report = check_delta_bounds(T, D, odd_delta_floor())
+        report = check_delta_bounds(D, odd_delta_floor())
         assert report.final_bound == F(7587, 116640)
         assert report.final_ok
         assert not report.lower_bound_failures
@@ -536,13 +498,13 @@ class TestDeltaBounds:
     def test_second_floor_value(self, odd_gens):
         assert odd_delta_floor().eval(1) == F(14, 61)
         Q2 = finite_section(odd_gens, MatrixKind.Q, 2)
-        D = delta_sequence(tridiagonalize(Q2, [z_closed_odd(n) for n in range(2)]))
+        D = delta_sequence(tridiagonalize(Q2))
         assert D.deltas[1] > F(14, 61)
 
     def test_requires_complete_sequence(self):
         T = TridiagonalForm(d=(F(1), F(1), F(9)), s=(F(1), F(1)))
         with pytest.raises(ValueError):
-            check_delta_bounds(T, delta_sequence(T), odd_delta_floor())
+            check_delta_bounds(delta_sequence(T), odd_delta_floor())
 
     def test_derived_final_floor_is_the_papers_polynomial(self):
         # F(N) = q_diag(N) - s(N-1)^2 / L(N-1) as rational functions, so the
@@ -568,7 +530,7 @@ class TestDeltaBounds:
         N = 20
         T = _tridiagonal(natural_gens, N)
         D = delta_sequence(T)
-        report = check_delta_bounds(T, D, floor)
+        report = check_delta_bounds(D, floor)
         assert report.lower_bound_failures == (1, 2, 3, 4)
         assert report.final_bound == T.d[N] - T.s[N - 1] ** 2 / floor.eval(N - 1)
         assert report.final_delta == D.deltas[N]
@@ -579,12 +541,12 @@ class TestDeltaBounds:
         floor = RationalFunction(Polynomial((4, -4, 1)), Polynomial((1, 0, 1)))
         T = _tridiagonal(odd_gens, 3)
         with pytest.raises(ValueError, match="not positive at n = 2"):
-            check_delta_bounds(T, delta_sequence(T), floor)
+            check_delta_bounds(delta_sequence(T), floor)
         T = _tridiagonal(odd_gens, 2)
-        assert check_delta_bounds(T, delta_sequence(T), floor).checked_upto == 2
+        assert check_delta_bounds(delta_sequence(T), floor).checked_upto == 2
         negative = RationalFunction(Polynomial((-1, 1)), Polynomial((1, 1)))
         with pytest.raises(ValueError, match="not positive at n = 0"):
-            check_delta_bounds(T, delta_sequence(T), negative)
+            check_delta_bounds(delta_sequence(T), negative)
 
 
 def _bounds_oracle(T: TridiagonalForm, floor: RationalFunction) -> BoundReport:
@@ -616,20 +578,14 @@ class TestDeltaBoundsAgainstFractions:
     ])
     def test_matches_the_fraction_reference(self, spec, floor, N):
         T = _tridiagonal(FactorableGenerators(parse_weight_spec(spec)), N)
-        assert check_delta_bounds(T, delta_sequence(T), floor) == _bounds_oracle(T, floor)
+        assert check_delta_bounds(delta_sequence(T), floor) == _bounds_oracle(T, floor)
 
     @given(T=_tridiagonal_forms())
     @settings(max_examples=200, deadline=None)
     def test_matches_the_fraction_reference_on_random_forms(self, T):
         D = delta_sequence(T)
         assume(D.complete)
-        assert check_delta_bounds(T, D, _NATURAL_FLOOR) == _bounds_oracle(T, _NATURAL_FLOOR)
-
-    def test_rejects_the_pivots_of_another_form(self, odd_gens):
-        T, other = _tridiagonal(odd_gens, 3), _tridiagonal(FactorableGenerators(
-            LinearWeights(1, 1)), 3)
-        with pytest.raises(ValueError, match="this form"):
-            check_delta_bounds(T, delta_sequence(other), odd_delta_floor())
+        assert check_delta_bounds(D, _NATURAL_FLOOR) == _bounds_oracle(T, _NATURAL_FLOOR)
 
 
 # Integer scale 1 for none of these: the scaled generators carry lambda.
@@ -745,6 +701,20 @@ class TestCertify:
         dense = _dense(finite_section(g, MatrixKind.Q, 3))
         assert report.determinant == leading_minors(dense)[-1]
 
+    def test_minors_route_names_the_checks_it_skips(self):
+        g = FactorableGenerators(TableWeights((1, 2, 4, 3, 3)))
+        plain = certify(g, 3)
+        report = certify(g, 3, CertifyOptions(bounds=True, cross_check_minors=True))
+        assert report.used_minors_fallback
+        assert report.bound_report is None and report.minors_agree is None
+        assert report.notes.split("; ") == plain.notes.split("; ") + [
+            "bound checks skipped: no pivots on the minors route",
+            "minor cross-check skipped: no pivots on the minors route"]
+        bounds_only = certify(g, 3, CertifyOptions(bounds=True))
+        assert bounds_only.notes == report.notes.rsplit("; ", 1)[0]
+        minors_only = certify(g, 3, CertifyOptions(minors_only=True))
+        assert "skipped" not in minors_only.notes
+
     def test_bounds_skipped_off_family(self, natural_gens):
         report = certify(natural_gens, 5, CertifyOptions(bounds=True))
         assert report.bound_report is None
@@ -783,8 +753,8 @@ class TestCertify:
         assert scaled.determinant == base.determinant
         assert scaled.verdict is base.verdict
 
-    PIVOT_STAGES = {"hypotheses_s", "build_section_s", "multipliers_s",
-                    "tridiagonal_s", "pivots_s", "determinant_s", "minimum_s"}
+    PIVOT_STAGES = {"hypotheses_s", "build_section_s", "tridiagonal_s", "pivots_s",
+                    "determinant_s", "minimum_s"}
 
     def test_timings_name_each_stage_that_ran(self, odd_gens):
         def stages(options=None, g=odd_gens, N=12):

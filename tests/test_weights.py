@@ -45,29 +45,36 @@ class TestWeightValues:
             TableWeights(values)
 
 
+def _partial_sum(g: FactorableGenerators, i: int) -> Fraction:
+    return Fraction(g.scaled(i)[1], g.scale)
+
+
 class TestPartialSums:
     def test_spec_values(self, odd_gens, steep_gens):
-        assert odd_gens.partial_sum(0) == 1
-        assert odd_gens.partial_sum(3) == 16
-        assert steep_gens.partial_sum(2) == 12
+        assert odd_gens.scaled(0) == (1, 1, 1)
+        assert odd_gens.scaled(3) == (7, 16, 84)
+        assert steep_gens.scaled(2) == (7, 12, 66)
 
     def test_odd_partial_sums_are_perfect_squares(self, odd_gens):
         for i in range(1001):
-            assert odd_gens.partial_sum(i) == (i + 1) ** 2
+            assert odd_gens.scaled(i)[1] == (i + 1) ** 2
 
     def test_generators_values(self, odd_gens):
-        assert odd_gens.generators(0) == (1, 1)
-        assert odd_gens.generators(1) == (Fraction(1, 4), 3)
-        assert odd_gens.generators(2) == (Fraction(1, 9), 5)
+        assert [(odd_gens.a(i), odd_gens.c(i)) for i in range(3)] == [
+            (1, 1), (Fraction(1, 4), 3), (Fraction(1, 9), 5)]
 
     @given(i=st.integers(0, 200),
            alpha=st.fractions(0, 10, max_denominator=20),
            beta=st.fractions(Fraction(1, 20), 10, max_denominator=20))
     @settings(max_examples=60)
-    def test_a_times_partial_sum_is_one(self, i, alpha, beta):
-        g = FactorableGenerators(LinearWeights(alpha, beta))
-        a, _ = g.generators(i)
-        assert a * g.partial_sum(i) == 1
+    def test_scaled_generators_match_the_weights(self, i, alpha, beta):
+        weights = LinearWeights(alpha, beta)
+        g = FactorableGenerators(weights)
+        w = [weights.weight(k) for k in range(i + 1)]
+        assert g.c(i) == w[i]
+        assert g.a(i) * sum(w) == 1
+        assert g.scaled(i) == (g.scale * w[i], g.scale * sum(w),
+                               g.scale ** 2 * sum(x * x for x in w))
 
     @given(i=st.integers(0, 200),
            alpha=st.fractions(0, 10, max_denominator=20),
@@ -75,7 +82,7 @@ class TestPartialSums:
     @settings(max_examples=60)
     def test_partial_sums_strictly_increase(self, i, alpha, beta):
         g = FactorableGenerators(LinearWeights(alpha, beta))
-        assert g.partial_sum(i + 1) > g.partial_sum(i)
+        assert _partial_sum(g, i + 1) > _partial_sum(g, i)
 
     def test_concurrent_reads_consistent(self):
         g = FactorableGenerators(LinearWeights(2, 1))
@@ -84,14 +91,14 @@ class TestPartialSums:
         def reader():
             try:
                 for i in range(300):
-                    if g.partial_sum(i) != (i + 1) ** 2:
+                    if g.scaled(i) != (2 * i + 1, (i + 1) ** 2,
+                                       (i + 1) * (2 * i + 1) * (2 * i + 3) // 3):
                         errors.append(i)
                     if g.a(i) != Fraction(1, (i + 1) ** 2):
                         errors.append(("a", i))
-                    if g.c_squared_sum(i) != (i + 1) * (2 * i + 1) * (2 * i + 3) // 3:
-                        errors.append(("S", i))
                     j = i % 40
-                    if g.b_column(j)[-1] != -Fraction((j + 1) ** 2, (j + 2) ** 2):
+                    entries, den = g.b_column_scaled(j)
+                    if Fraction(entries[-1], den) != -Fraction((j + 1) ** 2, (j + 2) ** 2):
                         errors.append(("b", j))
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
