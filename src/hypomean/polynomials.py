@@ -1,15 +1,13 @@
 # Univariate polynomials and rational functions over exact rationals.
 #
-# A polynomial is stored as a tuple of Fraction coefficients in ascending
-# degree with the trailing coefficient nonzero (the zero polynomial is the
-# empty tuple).  A rational function is always kept canonical: numerator and
-# denominator coprime, denominator monic.  Everything here is exact; no
-# floats ever enter.
-#
-# The kernels (sum, product, value, composition, gcd, canonical form, Sturm
-# chain) run on integer coefficient lists: a polynomial is cleared to
-# integers over one common denominator, the integers are combined, and one
-# Fraction is built per coefficient that is returned.
+# A polynomial is stored as integer coefficients `ints` in ascending degree
+# over one positive denominator `den`, in lowest terms: no trailing zero and
+# gcd(den, *ints) == 1, so equal polynomials have equal fields (the zero
+# polynomial is ((), 1)).  The kernels (sum, product, value, composition,
+# gcd, canonical form, Sturm chain) read and build that integer form; only
+# the `coeffs`, `leading` and `coeff` accessors build Fractions.  A rational
+# function is always kept canonical: numerator and denominator coprime,
+# denominator monic.  Everything here is exact; no floats ever enter.
 
 from __future__ import annotations
 
@@ -18,29 +16,15 @@ from math import gcd as int_gcd, lcm as int_lcm
 from typing import Iterable, Sequence
 
 
-def _cleared(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(ints, den) with coeffs[k] == ints[k] / den, den the lcm of the
-    denominators."""
-    den = int_lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _primitive_ints(coeffs: Sequence[Fraction]) -> tuple[list[int], Fraction]:
-    """(ints, content) with coeffs[k] == content * ints[k], content > 0 and
-    the ints coprime; coeffs must not all be zero."""
-    ints, den = _cleared(coeffs)
-    g = int_gcd(*ints)
-    return [v // g for v in ints], Fraction(g, den)
-
-
-def _content_free(ints: list[int]) -> list[int]:
+def _content_free(ints: Sequence[int]) -> Sequence[int]:
     """Divide out the positive gcd of the coefficients."""
     g = int_gcd(*ints) if ints else 1
     return ints if g == 1 else [v // g for v in ints]
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Coefficients of the product of two nonzero integer polynomials."""
+    """Coefficients of the product of two integer polynomials (all zero when
+    either is zero)."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -49,7 +33,7 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _prem(a: list[int], b: list[int]) -> list[int]:
+def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """A positive multiple of the remainder of a by b, on integers.
 
     Each step scales the running remainder by |lc(b)| and subtracts a signed
@@ -76,7 +60,7 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return rem
 
 
-def _exact_quo(a: list[int], b: list[int]) -> list[int]:
+def _exact_quo(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The integer quotient a / b when b divides a in Z[x]."""
     lb = b[-1]
     db = len(b) - 1
@@ -93,7 +77,7 @@ def _exact_quo(a: list[int], b: list[int]) -> list[int]:
     return quo
 
 
-def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
+def _gcd_ints(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
     """Primitive gcd of two integer coefficient lists (primitive PRS)."""
     x, y = _content_free(a), _content_free(b)
     if len(x) < len(y):
@@ -117,24 +101,40 @@ def _sign(v: int) -> int:
 
 
 class Polynomial:
-    """Dense univariate polynomial with Fraction coefficients."""
+    """Dense univariate polynomial over the rationals: the coefficient of
+    var^k is ints[k] / den."""
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("ints", "den", "var")
 
     def __init__(self, coeffs: Iterable, var: str = "n"):
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = int_lcm(*[c.denominator for c in cs])
+        self._set([c.numerator * (den // c.denominator) for c in cs], den, var)
+
+    def _set(self, ints: Sequence[int], den: int, var: str) -> None:
+        """Store ints / den in lowest terms; den is nonzero.  Trailing zeros
+        are popped off ints, so a sequence that has any must be a list.
+
+        The stored tuple is built from a list, never from a generator: a
+        tuple grown from a generator is resized as it fills, and the blocks
+        it frees pile up in the tuple free lists round after round.
+        """
+        while ints and not ints[-1]:
+            ints.pop()
+        if den < 0:
+            ints, den = [-v for v in ints], -den
+        g = int_gcd(den, *ints)
+        if g != 1:
+            ints, den = [v // g for v in ints], den // g
+        self.ints = tuple(ints)
+        self.den = den
         self.var = var
 
     @classmethod
     def _over(cls, ints: Sequence[int], den: int, var: str) -> "Polynomial":
-        """The polynomial with coefficients ints[k] / den, one Fraction each;
-        ints must have no trailing zero."""
+        """The polynomial with coefficients ints[k] / den."""
         p = object.__new__(cls)
-        p.coeffs = tuple([Fraction(v, den) for v in ints])
-        p.var = var
+        p._set(ints, den, var)
         return p
 
     # -- constructors -------------------------------------------------
@@ -147,29 +147,30 @@ class Polynomial:
     def constant(cls, value, var: str = "n") -> "Polynomial":
         return cls((value,), var)
 
-    @classmethod
-    def x(cls, var: str = "n") -> "Polynomial":
-        return cls((0, 1), var)
-
     # -- basic queries ------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, in ascending degree."""
+        return tuple([Fraction(v, self.den) for v in self.ints])
 
     @property
     def degree(self) -> int:
         # degree of the zero polynomial is -1 by convention
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.coeff(self.degree)
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        if 0 <= k < len(self.ints):
+            return Fraction(self.ints[k], self.den)
+        return Fraction(0)
 
     def _check_var(self, other: "Polynomial") -> None:
         if self.var != other.var:
@@ -181,16 +182,12 @@ class Polynomial:
     def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
         """self + sign * other on integers over the lcm of the denominators."""
         self._check_var(other)
-        a, da = _cleared(self.coeffs)
-        b, db = _cleared(other.coeffs)
-        den = int_lcm(da, db)
-        fa, fb = den // da, sign * (den // db)
-        n = max(len(a), len(b))
-        out = [v * fa for v in a] + [0] * (n - len(a))
+        a, b = self.ints, other.ints
+        den = int_lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = [v * fa for v in a] + [0] * (len(b) - len(a))
         for k, v in enumerate(b):
             out[k] += v * fb
-        while out and not out[-1]:
-            out.pop()
         return Polynomial._over(out, den, self.var)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -200,15 +197,12 @@ class Polynomial:
         return self._combine(other, -1)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial((-c for c in self.coeffs), self.var)
+        return Polynomial._over([-v for v in self.ints], self.den, self.var)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_var(other)
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero(self.var)
-        a, da = _cleared(self.coeffs)
-        b, db = _cleared(other.coeffs)
-        return Polynomial._over(_convolve(a, b), da * db, self.var)
+        return Polynomial._over(_convolve(self.ints, other.ints),
+                                self.den * other.den, self.var)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -224,29 +218,29 @@ class Polynomial:
 
     def scale(self, factor) -> "Polynomial":
         f = Fraction(factor)
-        return Polynomial((c * f for c in self.coeffs), self.var)
+        return Polynomial._over([v * f.numerator for v in self.ints],
+                                self.den * f.denominator, self.var)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.coeffs != other.coeffs:
+        if self.ints != other.ints or self.den != other.den:
             return False
         # constants compare equal across variables
         return self.degree < 1 or self.var == other.var
 
     def __hash__(self) -> int:
-        return hash((self.coeffs, self.var if self.degree > 0 else ""))
+        return hash((self.ints, self.den, self.var if self.degree > 0 else ""))
 
     # -- evaluation and composition ------------------------------------
 
     def eval(self, x) -> Fraction:
         """Evaluate at a rational point by Horner's rule on the integers."""
-        if not self.coeffs:
+        if not self.ints:
             return Fraction(0)
         x = Fraction(x)
-        a, den = _cleared(self.coeffs)
-        return Fraction(_homogeneous(a, x.numerator, x.denominator),
-                        den * x.denominator ** self.degree)
+        return Fraction(_homogeneous(self.ints, x.numerator, x.denominator),
+                        self.den * x.denominator ** self.degree)
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """Substitute `inner` for the variable; result uses inner's variable.
@@ -256,43 +250,17 @@ class Polynomial:
         """
         if self.is_zero or inner.degree < 1:
             return Polynomial.constant(self.eval(inner.coeff(0)), inner.var)
-        a, da = _cleared(self.coeffs)
-        b, db = _cleared(inner.coeffs)
+        a, b = self.ints, inner.ints
         acc, dpow = [a[-1]], 1
         for c in reversed(a[:-1]):
-            dpow *= db
+            dpow *= inner.den
             acc = _convolve(acc, b)
             acc[0] += c * dpow
-        return Polynomial._over(acc, da * dpow, inner.var)
+        return Polynomial._over(acc, self.den * dpow, inner.var)
 
     def shift(self, offset) -> "Polynomial":
         """p(x + offset), same variable."""
         return self.compose(Polynomial((offset, 1), self.var))
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(
-            (k * c for k, c in enumerate(self.coeffs) if k), self.var)
-
-    # -- division -----------------------------------------------------
-
-    def quo_rem(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Euclidean division: self == q * divisor + r with deg r < deg divisor."""
-        self._check_var(divisor)
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(divisor.coeffs)
-        if dq < 0:
-            return Polynomial.zero(self.var), self
-        quo = [Fraction(0)] * (dq + 1)
-        dlead = divisor.leading
-        for k in range(dq, -1, -1):
-            c = rem[k + divisor.degree] / dlead
-            quo[k] = c
-            if c:
-                for j, b in enumerate(divisor.coeffs):
-                    rem[k + j] -= c * b
-        return Polynomial(quo, self.var), Polynomial(rem[:divisor.degree], self.var)
 
     def primitive(self) -> tuple["Polynomial", Fraction]:
         """Scale to coprime integer coefficients, keeping signs.
@@ -302,8 +270,9 @@ class Polynomial:
         """
         if self.is_zero:
             return self, Fraction(1)
-        ints, content = _primitive_ints(self.coeffs)
-        return Polynomial._over(ints, 1, self.var), 1 / content
+        g = int_gcd(*self.ints)
+        return (Polynomial._over([v // g for v in self.ints], 1, self.var),
+                Fraction(self.den, g))
 
     # -- display ------------------------------------------------------
 
@@ -336,23 +305,13 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     coefficients: pseudo-remainders with the content divided out at each
     step, then made monic.  The gcd of two zero polynomials is zero."""
     a._check_var(b)
-    g = _gcd_ints(_cleared(a.coeffs)[0], _cleared(b.coeffs)[0])
+    g = _gcd_ints(a.ints, b.ints)
     if not g:
         return Polynomial.zero(a.var)
     return Polynomial._over(g, g[-1], a.var)
 
 
-def square_free_part(p: Polynomial) -> Polynomial:
-    """p divided by gcd(p, p'): same distinct roots, all simple."""
-    if p.degree < 1:
-        return p
-    g = poly_gcd(p, p.derivative())
-    if g.degree < 1:
-        return p
-    return p.quo_rem(g)[0]
-
-
-def _sturm_chain(p: list[int]) -> list[list[int]]:
+def _sturm_chain(p: Sequence[int]) -> list[Sequence[int]]:
     """Sturm chain of an integer polynomial, each element a positive
     multiple of the classical one (p, p', -rem, ...), so signs are kept."""
     chain = [p, [k * c for k, c in enumerate(p) if k]]
@@ -370,15 +329,17 @@ def _sign_variations(signs: Sequence[int]) -> int:
 def count_roots_above(p: Polynomial, a) -> int:
     """Number of distinct real roots of p in the open ray (a, +inf).
 
-    Uses the Sturm chain of the square-free part, comparing sign
-    variations at a and at +infinity (leading-coefficient signs).  The
-    chain runs on integers; each element is a positive multiple of the
-    classical one, so the signs, and the count, are the same.
+    Uses the Sturm chain of the square-free part p / gcd(p, p'), comparing
+    sign variations at a and at +infinity (leading-coefficient signs).  The
+    chain runs on integers, from a nonzero multiple of that part; each
+    element is a positive multiple of the classical one, so the signs, and
+    the count, are the same.
     """
-    q = square_free_part(p)
-    if q.degree < 1:
+    if p.degree < 1:
         return 0
-    chain = _sturm_chain(_cleared(q.coeffs)[0])
+    ints = p.ints
+    square_free = _exact_quo(ints, _gcd_ints(ints, [k * c for k, c in enumerate(ints) if k]))
+    chain = _sturm_chain(square_free)
     a = Fraction(a)
     at_a = [_sign(_homogeneous(c, a.numerator, a.denominator)) for c in chain]
     at_inf = [_sign(c[-1]) for c in chain]
@@ -389,7 +350,7 @@ class RationalFunction:
     """Quotient of two polynomials, always held in canonical form.
 
     Canonical means gcd(num, den) == 1 and the denominator is monic, so
-    equal functions have identical coefficient tuples.
+    equal functions have identical fields.
     """
 
     __slots__ = ("num", "den")
@@ -399,29 +360,18 @@ class RationalFunction:
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
-            num = Polynomial.zero(num.var)
-            den = Polynomial.constant(1, num.var)
-        else:
-            # num = cn * nums and den = cd * dens with nums, dens primitive
-            # integer lists; dividing both by the primitive gcd is exact in
-            # Z[x] (Gauss's lemma), and the contents fold into one factor.
-            g = poly_gcd(num, den)
-            nums, cn = _primitive_ints(num.coeffs)
-            dens, cd = _primitive_ints(den.coeffs)
-            if g.degree > 0:
-                gs = _primitive_ints(g.coeffs)[0]
-                nums = _exact_quo(nums, gs)
-                dens = _exact_quo(dens, gs)
-            lead = dens[-1]
-            f = cn / (cd * lead)
-            num = Polynomial._over([v * f.numerator for v in nums], f.denominator, num.var)
-            den = Polynomial._over(dens, lead, den.var)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p: Polynomial) -> "RationalFunction":
-        return cls(p, Polynomial.constant(1, p.var))
+            self.num, self.den = num, Polynomial.constant(1, num.var)
+            return
+        # The integer coefficients a and b of num and den divide exactly by
+        # those of the primitive gcd (Gauss's lemma), and num / den is then
+        # (a * den.den) / (b * num.den); dividing both by lc(b) makes the
+        # denominator monic.
+        g = poly_gcd(num, den)
+        a, b = num.ints, den.ints
+        if g.degree > 0:
+            a, b = _exact_quo(a, g.ints), _exact_quo(b, g.ints)
+        self.num = Polynomial._over([v * den.den for v in a], b[-1] * num.den, num.var)
+        self.den = Polynomial._over(b, b[-1], den.var)
 
     @classmethod
     def constant(cls, value, var: str = "n") -> "RationalFunction":
@@ -435,13 +385,6 @@ class RationalFunction:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    @property
-    def is_canonical(self) -> bool:
-        if self.num.is_zero:
-            return self.den.degree == 0 and self.den.leading == 1
-        return (self.den.leading == 1
-                and poly_gcd(self.num, self.den).degree == 0)
 
     @property
     def degree_pair(self) -> tuple[int, int]:

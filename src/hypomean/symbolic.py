@@ -223,16 +223,17 @@ def certify_positive_on_ray(p: Polynomial, a: int) -> str | None:
 
     Tried in order: nonnegative coefficients (valid for a >= 0 since p is
     then nondecreasing there), nonnegative coefficients after shifting by
-    a, and a Sturm-chain count of distinct roots beyond a.
+    a, and a Sturm-chain count of distinct roots beyond a.  The signs are
+    read from the integer coefficients, since the denominator is positive.
     """
     if p.is_zero:
         return None
     if p.eval(a) <= 0:
         return None
-    if a >= 0 and all(c >= 0 for c in p.coeffs):
+    if a >= 0 and all(c >= 0 for c in p.ints):
         return "coefficients"
     shifted = p.shift(a)
-    if all(c >= 0 for c in shifted.coeffs):
+    if all(c >= 0 for c in shifted.ints):
         return "shifted-coefficients"
     if count_roots_above(p, a) == 0:
         return "sturm"
@@ -245,10 +246,10 @@ def certify_nonneg_on_ray(p: Polynomial, a: int) -> tuple[bool, str]:
         return True, "zero polynomial"
     if p.eval(a) < 0:
         return False, f"value at {a} is negative"
-    if p.leading < 0:
+    if p.ints[-1] < 0:
         return False, "negative leading coefficient"
     shifted = p.shift(a)
-    if all(c >= 0 for c in shifted.coeffs):
+    if all(c >= 0 for c in shifted.ints):
         return True, "shifted-coefficients"
     if count_roots_above(p, a) == 0:
         return True, "sturm"

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,11 @@ from hypomean import (
 )
 from hypomean import symbolic
 from hypomean.cli import EXIT_USAGE, main
-from hypomean.symbolic import certify_nonneg_on_ray, certify_positive_on_ray
+from hypomean.symbolic import (
+    CertificateInconclusive,
+    certify_nonneg_on_ray,
+    certify_positive_on_ray,
+)
 
 F = Fraction
 
@@ -167,3 +172,37 @@ class TestFamilyMemo:
                 cert = induction_certificate(weights, known_floor(weights))
                 assert cert.nonneg_for_n_ge_1 and cert.base_holds
                 assert reference_ratio_odd(cert.certificate) == 1
+
+
+# (a, b, c) of floors L(n) = (n+a)/(n^2+bn+c) for linear:2,1: the paper's
+# floor first; (3/2, -2, 1) has a denominator that vanishes at n = 1.
+ROUND_FLOORS = [(F(5, 2), 5, F(37, 4)), (F(1, 2), F(1, 2), F(33, 4)),
+                (F(3, 2), -2, 1), (F(7, 2), 6, 12), (F(3, 2), 2, 6)]
+
+
+def _floor_round():
+    weights = LinearWeights(2, 1)
+    for a, b, c in ROUND_FLOORS:
+        floor = RationalFunction(Polynomial((a, 1)), Polynomial((c, b, 1)))
+        try:
+            induction_certificate(weights, floor)
+        except CertificateInconclusive:
+            pass
+
+
+def test_floor_rounds_leave_no_memory_behind():
+    # A floor search runs these rounds back to back, and its peak memory
+    # must not climb with their number.  Coefficient tuples grown from
+    # generators did: the blocks they freed filled the tuple free lists.
+    for _ in range(3):
+        _floor_round()
+    tracemalloc.start()
+    try:
+        _floor_round()
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(40):
+            _floor_round()
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert grown < 32 * 1024
