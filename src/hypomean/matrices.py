@@ -25,10 +25,13 @@ _ONE = Fraction(1)
 
 
 def m_entry(g: FactorableGenerators, i: int, j: int) -> Fraction:
-    """Mean matrix entry: a_i * c_j for j <= i, else 0."""
+    """Mean matrix entry: a_i * c_j for j <= i, else 0.
+
+    In the integer generators the scale cancels: a_i c_j = c^_j / W^_i.
+    """
     if j > i:
         return _ZERO
-    return g.a(i) * g.c(j)
+    return Fraction(g.scaled(j)[0], g.scaled(i)[1])
 
 
 def b_entry(g: FactorableGenerators, i: int, j: int) -> Fraction:
@@ -37,13 +40,18 @@ def b_entry(g: FactorableGenerators, i: int, j: int) -> Fraction:
     c_i * (1/c_j - (1/c_{j+1}) * (a_{j+1}/a_j))  for i <= j,
     -a_{j+1}/a_j                                 for i == j + 1,
     0                                            for i > j + 1.
+
+    Read from the integer generators, where the scale cancels, as in
+    FactorableGenerators.b_column_scaled: c^_i (c^_{j+1} W^_{j+1} -
+    c^_j W^_j) / (c^_j c^_{j+1} W^_{j+1}) and -W^_j / W^_{j+1}.
     """
     if i > j + 1:
         return _ZERO
-    ratio = g.a(j + 1) / g.a(j)
+    c, W, _ = g.scaled(j)
+    c1, W1, _ = g.scaled(j + 1)
     if i == j + 1:
-        return -ratio
-    return g.c(i) * (1 / g.c(j) - ratio / g.c(j + 1))
+        return Fraction(-W, W1)
+    return Fraction(g.scaled(i)[0] * (c1 * W1 - c * W), c * c1 * W1)
 
 
 def offdiag_factors(g: FactorableGenerators, k: int) -> tuple[Fraction, Fraction]:

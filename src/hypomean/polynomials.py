@@ -8,11 +8,19 @@
 # the `coeffs`, `leading` and `coeff` accessors build Fractions.  A rational
 # function is always kept canonical: numerator and denominator coprime,
 # denominator monic.  Everything here is exact; no floats ever enter.
+#
+# The gcd is heuristic (GCDHEU): the integer gcd of two values at a point xi
+# >= 2 min(|x|, |y|) + 2 of the content-free inputs, rebuilt from its
+# symmetric base-xi digits.  Under that bound a primitive candidate that
+# divides both inputs is their gcd, and the exact division (`_exact_quo`,
+# which raises on any nonzero remainder) decides that; if six points fail,
+# a primitive remainder sequence (`_gcd_prs`) gives the gcd.  The Sturm
+# chain keeps signed pseudo-remainders (`_prem`).
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd, lcm as int_lcm
+from math import gcd as int_gcd, isqrt, lcm as int_lcm
 from typing import Iterable, Sequence
 
 
@@ -61,7 +69,8 @@ def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def _exact_quo(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The integer quotient a / b when b divides a in Z[x]."""
+    """The integer quotient a / b; raises ArithmeticError unless b divides
+    a in Z[x] (every leading division exact and a zero remainder)."""
     lb = b[-1]
     db = len(b) - 1
     rem = list(a)
@@ -74,17 +83,67 @@ def _exact_quo(a: Sequence[int], b: Sequence[int]) -> list[int]:
         if c:
             for j in range(db):
                 rem[k + j] -= c * b[j]
+    if any(rem[:db]):
+        raise ArithmeticError("inexact polynomial division")
     return quo
 
 
-def _gcd_ints(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
-    """Primitive gcd of two integer coefficient lists (primitive PRS)."""
+def _gcd_prs(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
+    """Primitive gcd of two integer coefficient lists, by a primitive
+    remainder sequence: pseudo-remainders with the content divided out at
+    each step.  The fallback of _gcd_ints."""
     x, y = _content_free(a), _content_free(b)
     if len(x) < len(y):
         x, y = y, x
     while y:
         x, y = y, _content_free(_prem(x, y))
     return x
+
+
+# Evaluation points the heuristic gcd tries before it falls back.
+_HEU_TRIES = 6
+
+
+def _gcd_ints(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
+    """Primitive gcd of two integer coefficient lists, up to sign.
+
+    The heuristic gcd of Char, Geddes and Gonnet: h = gcd(x(xi), y(xi)) of
+    the content-free inputs at an integer xi >= 2 min(|x|, |y|) + 2 (max
+    norms), read back as a polynomial from its symmetric base-xi digits.
+    Under that bound a primitive candidate that divides both x and y is
+    their gcd, so it is accepted only when _exact_quo divides both with a
+    zero remainder; a constant candidate is 1.  Otherwise xi grows by about
+    2.73 xi^(1/4), and after _HEU_TRIES points the remainder sequence
+    _gcd_prs decides.
+    """
+    x, y = _content_free(a), _content_free(b)
+    if not x or not y:
+        return x or y
+    if len(x) == 1 or len(y) == 1:
+        return [1]
+    xi = 2 * min(max(map(abs, x)), max(map(abs, y))) + 29
+    for _ in range(_HEU_TRIES):
+        vx, vy = _homogeneous(x, xi, 1), _homogeneous(y, xi, 1)
+        if vx and vy:
+            h, half, digits = int_gcd(vx, vy), xi // 2, []
+            while h:
+                d = h % xi
+                if d > half:
+                    d -= xi
+                digits.append(d)
+                h = (h - d) // xi
+            # h > 0, so the top digit is positive; a constant reads as [1].
+            cand = _content_free(digits)
+            if len(cand) == 1:
+                return cand
+            try:
+                _exact_quo(x, cand)
+                _exact_quo(y, cand)
+                return cand
+            except ArithmeticError:
+                pass
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return _gcd_prs(x, y)
 
 
 def _homogeneous(ints: Sequence[int], u: int, v: int) -> int:
@@ -301,9 +360,15 @@ class Polynomial:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd, by a primitive remainder sequence on the integer
-    coefficients: pseudo-remainders with the content divided out at each
-    step, then made monic.  The gcd of two zero polynomials is zero."""
+    """Monic gcd, from the primitive gcd of the integer coefficients, made
+    monic.  The gcd of two zero polynomials is zero.
+
+    The primitive gcd is the heuristic gcd of Char, Geddes and Gonnet: one
+    integer gcd of the values at an integer xi >= 2 min(|a|, |b|) + 2 (max
+    norms of the content-free coefficients), read back from its symmetric
+    base-xi digits and accepted only if it divides both inputs exactly.
+    After a few larger points fail, a primitive remainder sequence decides.
+    """
     a._check_var(b)
     g = _gcd_ints(a.ints, b.ints)
     if not g:

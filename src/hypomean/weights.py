@@ -117,11 +117,11 @@ class FactorableGenerators:
     integers: c^_k = lambda w_k, W^_k = lambda W_k and S^_k = lambda^2 S_k,
     where W_k and S_k are the prefix sums of w and of w^2.  The closed-form
     entries of Q are read from these integers, so the fast paths build a
-    Fraction only for a value they keep; the weights and the row factors
-    a_i = 1/W_i, which only the M and B sections read, are built from the
-    integers on each call.  The columns of the auxiliary factor B, which
-    the finite-sum oracle for P reads, are memoized as integers over one
-    denominator per column.  The caches only ever grow and are extended
+    Fraction only for a value they keep; the accessors for the weights and
+    the row factors a_i = 1/W_i build theirs from the integers on each
+    call.  The columns of the auxiliary factor B, which the finite-sum
+    oracle for P reads, are memoized as integers over one denominator per
+    column.  The caches only ever grow and are extended
     under a lock, so concurrent readers are safe; they live as long as
     this object.
     """
@@ -173,10 +173,10 @@ class FactorableGenerators:
 
         With r = a_{j+1}/a_j the entries are c_i (1/c_j - r/c_{j+1}) for
         i <= j and -r for i = j+1; matrices.b_entry computes a single entry
-        from that definition and is the reference for this memo.  In the
-        integer generators the scale cancels: over the denominator
-        c^_j c^_{j+1} W^_{j+1} the entries are c^_i (c^_{j+1} W^_{j+1} -
-        c^_j W^_j) and -W^_j c^_j c^_{j+1}.
+        from the same integers, and the tests check both against that
+        definition on Fractions.  In the integer generators the scale
+        cancels: over the denominator c^_j c^_{j+1} W^_{j+1} the entries
+        are c^_i (c^_{j+1} W^_{j+1} - c^_j W^_j) and -W^_j c^_j c^_{j+1}.
         """
         column = self._B.get(j)
         if column is None:

@@ -28,6 +28,27 @@ F = Fraction
 RATIONAL_TABLE = tuple(F(k % 5 + 1, k % 3 + 1) for k in range(32))
 
 
+# The entries of M and B from their definitions on Fractions: the reference
+# for m_entry, b_entry and the integer columns of B, which all read the
+# integer generators.
+
+def _m_definition(g, i, j):
+    return g.a(i) * g.c(j) if j <= i else 0
+
+
+def _b_definition(g, i, j):
+    if i > j + 1:
+        return 0
+    ratio = g.a(j + 1) / g.a(j)
+    if i == j + 1:
+        return -ratio
+    return g.c(i) * (1 / g.c(j) - ratio / g.c(j + 1))
+
+
+DEFINITION_FAMILIES = (LinearWeights(2, 1), LinearWeights(0, 1),
+                       LinearWeights(F(7, 3), F(5, 8)), TableWeights(RATIONAL_TABLE))
+
+
 class TestMeanMatrixEntries:
     def test_spec_values(self, odd_gens):
         assert m_entry(odd_gens, 0, 0) == 1
@@ -39,8 +60,22 @@ class TestMeanMatrixEntries:
             for i in range(30):
                 assert sum(m_entry(g, i, j) for j in range(i + 1)) == 1
 
+    def test_entries_equal_the_definition(self):
+        for weights in DEFINITION_FAMILIES:
+            g = FactorableGenerators(weights)
+            for i in range(25):
+                for j in range(25):
+                    assert m_entry(g, i, j) == _m_definition(g, i, j), (weights, i, j)
+
 
 class TestAuxiliaryFactorEntries:
+    def test_entries_equal_the_definition(self):
+        for weights in DEFINITION_FAMILIES:
+            g = FactorableGenerators(weights)
+            for i in range(25):
+                for j in range(25):
+                    assert b_entry(g, i, j) == _b_definition(g, i, j), (weights, i, j)
+
     def test_spec_values(self, odd_gens):
         assert b_entry(odd_gens, 0, 0) == F(11, 12)
         assert b_entry(odd_gens, 1, 0) == F(-1, 4)
@@ -100,7 +135,7 @@ class TestInterrupterEntries:
         for j in range(20):
             entries, den = g.b_column_scaled(j)
             assert tuple(F(x, den) for x in entries) == tuple(
-                b_entry(g, i, j) for i in range(j + 2))
+                _b_definition(g, i, j) for i in range(j + 2))
 
     def test_oracle_equivalence_small_grid(self, all_families):
         for g in all_families:

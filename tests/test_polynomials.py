@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypomean import polynomials
 from hypomean.polynomials import (
     Polynomial,
     RationalFunction,
+    _exact_quo,
+    _gcd_ints,
+    _gcd_prs,
     count_roots_above,
     poly_gcd,
 )
@@ -390,3 +394,55 @@ class TestKernelsAgainstFractionOracles:
         for r in squares:
             p = _mul_oracle(p, (-r, F(0), F(1)))
         assert count_roots_above(Polynomial(p), a) == _roots_above_oracle(p, a)
+
+
+def _int_product(a, b):
+    return tuple(int(c) for c in _mul_oracle(a, b))
+
+
+# Integer coefficient lists, constants and zero (the empty list) included.
+# Coefficients up to 2^200 wide, or within [-3, 3], where the first point is
+# small and a candidate that divides only one input turns up often.
+int_coeffs = st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 200, 2 ** 200)),
+                      min_size=0, max_size=5).map(_trim)
+
+
+class TestIntegerGcd:
+    """The heuristic gcd against the remainder sequence it falls back to and
+    against Euclid on Fractions."""
+
+    @given(f=int_coeffs, g1=int_coeffs, g2=int_coeffs)
+    @settings(max_examples=100, deadline=None)
+    def test_heuristic_gcd_agrees_with_both_slow_paths(self, f, g1, g2):
+        a, b = _int_product(f, g1), _int_product(f, g2)
+        heu, prs = list(_gcd_ints(a, b)), list(_gcd_prs(a, b))
+        assert heu in (prs, [-v for v in prs])
+        assert _monic_oracle(tuple(map(F, heu))) == _gcd_oracle(tuple(map(F, a)),
+                                                                tuple(map(F, b)))
+        if a or b:
+            assert gcd(*heu) == 1 and len(heu) >= len(f)
+
+    def test_candidate_that_divides_only_one_input(self):
+        # At the first point xi = 35 the values are 38 and -3572, whose gcd
+        # 38 reads back as 3 + n itself: not a divisor of the second input,
+        # so a larger point decides.
+        assert _gcd_ints([3, 1], [-2, 3, -3]) == [1]
+
+    def test_remainder_sequence_fallback(self, monkeypatch):
+        # With no evaluation point left the remainder sequence decides.
+        monkeypatch.setattr(polynomials, "_HEU_TRIES", 0)
+        f = (-7, 0, 3)
+        a, b = _int_product(f, (2 ** 90, -1, 1)), (7, 0, -3)
+        assert list(_gcd_ints(a, b)) == [7, 0, -3]
+
+
+class TestExactDivision:
+    def test_nonzero_remainder_raises(self):
+        for a, b in (([1, 0, 1], [0, 1]), ([5, 3], [1, 1])):
+            with pytest.raises(ArithmeticError):
+                _exact_quo(a, b)
+
+    def test_exact_quotient(self):
+        assert _exact_quo([2, 3, 1], [1, 1]) == [2, 1]
+        assert _exact_quo([], [3, 1]) == []
+

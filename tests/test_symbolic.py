@@ -22,7 +22,7 @@ from hypomean import (
     symbolic_tridiagonal,
     tridiagonalize,
 )
-from hypomean import symbolic
+from hypomean import polynomials, symbolic
 from hypomean.cli import EXIT_USAGE, main
 from hypomean.symbolic import (
     CertificateInconclusive,
@@ -206,3 +206,39 @@ def test_floor_rounds_leave_no_memory_behind():
     finally:
         tracemalloc.stop()
     assert grown < 32 * 1024
+
+
+# The five families of a floor search and floors (n+a)/(n^2+bn+c) that
+# reach each outcome: certified, not certified, a denominator left to the
+# Sturm count (b < 0), and a floor that cannot be certified positive.
+SEARCH_FAMILIES = [LinearWeights(2, 1), LinearWeights(1, 1), LinearWeights(3, 1),
+                   LinearWeights(0, 1), LinearWeights(1, 5)]
+SEARCH_FLOORS = ROUND_FLOORS + [(F(1, 2), F(-3, 2), F(1, 4)), (F(3), 0, F(5, 2)),
+                                (4, F(-1, 2), 9), (1, 7, F(1, 2))]
+
+
+def _search_outcomes():
+    symbolic._symbolic_q.cache_clear()
+    symbolic._eliminate.cache_clear()
+    outcomes = []
+    for weights in SEARCH_FAMILIES:
+        for a, b, c in SEARCH_FLOORS:
+            floor = RationalFunction(Polynomial((a, 1)), Polynomial((c, b, 1)))
+            try:
+                outcomes.append(induction_certificate(weights, floor))
+            except CertificateInconclusive as exc:
+                outcomes.append(str(exc))
+    return outcomes
+
+
+def test_floor_search_agrees_with_the_remainder_sequence(monkeypatch):
+    # The memos are cleared before each side, so both derive every family
+    # with their own gcd.
+    heuristic = _search_outcomes()
+    monkeypatch.setattr(polynomials, "_gcd_ints", polynomials._gcd_prs)
+    assert _search_outcomes() == heuristic
+    assert any(isinstance(o, str) for o in heuristic)
+    assert any(not isinstance(o, str) and o.nonneg_for_n_ge_1 and o.base_holds
+               for o in heuristic)
+    assert any(not isinstance(o, str) and not o.nonneg_for_n_ge_1 for o in heuristic)
+
