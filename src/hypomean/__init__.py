@@ -25,7 +25,6 @@ from .matrices import (
     offdiag_factors,
     p_entry_closed,
     p_entry_oracle,
-    q_closed_odd,
     q_entry,
 )
 from .positivity import (
@@ -38,19 +37,18 @@ from .positivity import (
     Verdict,
     certify,
     check_delta_bounds,
-    d_closed_odd,
     delta_sequence,
     elimination_multiplier,
     leading_minors,
-    s_closed_odd,
     tridiagonalize,
-    z_closed_odd,
 )
 from .polynomials import Polynomial, RationalFunction, count_roots_above, poly_gcd
 from .symbolic import (
     CertificateInconclusive,
     InductionCertificate,
     ODD_CERTIFICATE_REFERENCE,
+    ODD_Q,
+    ODD_TRIDIAGONAL,
     SymbolicQ,
     SymbolicStructureError,
     SymbolicTridiagonal,

@@ -18,28 +18,21 @@ import sys
 import time
 from fractions import Fraction
 
-from .matrices import (
-    MatrixKind,
-    finite_section,
-    fraction_str,
-    q_closed_odd,
-    q_entry,
-)
+from .matrices import MatrixKind, finite_section, fraction_str, q_entry
 from .polynomials import RationalFunction
 from .positivity import (
     CertifyOptions,
     Verdict,
     certify,
-    d_closed_odd,
     delta_sequence,
     elimination_multiplier,
     leading_minors,
-    s_closed_odd,
     tridiagonalize,
-    z_closed_odd,
 )
 from .symbolic import (
     ODD_CERTIFICATE_REFERENCE,
+    ODD_Q,
+    ODD_TRIDIAGONAL,
     induction_certificate,
     known_floor,
     odd_delta_floor,
@@ -116,7 +109,7 @@ def _short_fraction(x: Fraction) -> str:
 
 def _cmd_dump(args: argparse.Namespace) -> int:
     g = FactorableGenerators(parse_weight_spec(args.weights))
-    kind = MatrixKind.from_string(args.kind)
+    kind = MatrixKind(args.kind)
     section = finite_section(g, kind, args.N)
     _emit_json({
         "family": g.spec_string(),
@@ -224,32 +217,43 @@ def _check_oracle_equivalence() -> tuple[bool, str]:
 
 
 def _check_q_agreement() -> tuple[bool, str]:
+    if symbolic_q(LinearWeights(2, 1)) != ODD_Q:
+        return False, "symbolic Q of linear:2,1 is not the odd-weights closed form"
     g = _odd_generators()
+    diag, row, col = ([f.eval(k) for k in range(51)]
+                      for f in (ODD_Q.diagonal, ODD_Q.offdiag_row, ODD_Q.offdiag_col))
+
+    def closed(m, n):
+        return diag[m] if m == n else row[max(m, n)] * col[min(m, n)]
+
     anchors = (
         (0, 0, Fraction(7, 72)),
         (1, 0, Fraction(-11, 270)),
         (1, 1, Fraction(83, 405)),
     )
     for m, n, expected in anchors:
-        if q_closed_odd(m, n) != expected or q_entry(g, m, n) != expected:
+        if closed(m, n) != expected or q_entry(g, m, n) != expected:
             return False, f"anchor q({m},{n}) != {expected}"
     for m in range(51):
         for n in range(51):
-            if q_entry(g, m, n) != q_closed_odd(m, n):
+            if q_entry(g, m, n) != closed(m, n):
                 return False, f"derived and specialized Q disagree at ({m},{n})"
     return True, "derived Q matches the odd-weights closed form on 0..50 plus anchors"
 
 
 def _check_tridiagonal_forms() -> tuple[bool, str]:
+    if symbolic_tridiagonal(LinearWeights(2, 1)) != ODD_TRIDIAGONAL:
+        return False, "symbolic band of linear:2,1 is not the odd-weights closed form"
     g = _odd_generators()
     N = 51
     Q = finite_section(g, MatrixKind.Q, N)
+    z, d, s = ODD_TRIDIAGONAL.z, ODD_TRIDIAGONAL.d, ODD_TRIDIAGONAL.s
     for n in range(N):
-        if elimination_multiplier(Q, n) != z_closed_odd(n):
+        if elimination_multiplier(Q, n) != z.eval(n):
             return False, f"multiplier mismatch at {n}"
     T = tridiagonalize(Q)
     for n in range(N):
-        if T.d[n] != d_closed_odd(n) or T.s[n] != s_closed_odd(n):
+        if T.d[n] != d.eval(n) or T.s[n] != s.eval(n):
             return False, f"tridiagonal entry mismatch at {n}"
     if T.d[N] != q_entry(g, N, N):
         return False, "last diagonal is not q_NN"

@@ -5,7 +5,9 @@ upper-Hessenberg auxiliary factor whose columns have finite support, which
 makes every entry of P = B*B a finite exact sum.  P also has a closed form
 in the generators, and Q = I - P is the object whose finite sections get
 certified positive.  The closed form and the finite-sum oracle are kept as
-two independent routes on purpose; tests compare them entrywise.
+two independent routes on purpose; tests compare them entrywise.  The
+entries here hold for any weights; the paper's closed form of Q for the odd
+weights is symbolic.ODD_Q, which paper-check compares with q_entry.
 """
 
 from __future__ import annotations
@@ -41,17 +43,12 @@ def b_entry(g: FactorableGenerators, i: int, j: int) -> Fraction:
     -a_{j+1}/a_j                                 for i == j + 1,
     0                                            for i > j + 1.
 
-    Read from the integer generators, where the scale cancels, as in
-    FactorableGenerators.b_column_scaled: c^_i (c^_{j+1} W^_{j+1} -
-    c^_j W^_j) / (c^_j c^_{j+1} W^_{j+1}) and -W^_j / W^_{j+1}.
+    Read from the memoized integer column FactorableGenerators.b_column_scaled.
     """
     if i > j + 1:
         return _ZERO
-    c, W, _ = g.scaled(j)
-    c1, W1, _ = g.scaled(j + 1)
-    if i == j + 1:
-        return Fraction(-W, W1)
-    return Fraction(g.scaled(i)[0] * (c1 * W1 - c * W), c * c1 * W1)
+    column, den = g.b_column_scaled(j)
+    return Fraction(column[i], den)
 
 
 def offdiag_factors(g: FactorableGenerators, k: int) -> tuple[Fraction, Fraction]:
@@ -129,24 +126,6 @@ def q_entry(g: FactorableGenerators, i: int, j: int) -> Fraction:
     return delta - p_entry_closed(g, i, j)
 
 
-def q_closed_odd(m: int, n: int) -> Fraction:
-    """Specialized closed form of Q for the odd weights w_n = 2n+1.
-
-    Diagonal: (12n^4 + 60n^3 + 104n^2 + 66n + 7) / (3 (n+2)^3 (2n+1) (2n+3)).
-    Off-diagonal (m > n):
-        -(1/3) * (6m^2 + 16m + 11) / ((m+2)^2 (2m+1) (2m+3)) * (n+1)/(n+2),
-    mirrored for m < n.  Kept independent of q_entry as a regression anchor.
-    """
-    if m == n:
-        num = 12 * n**4 + 60 * n**3 + 104 * n**2 + 66 * n + 7
-        return Fraction(num, 3 * (n + 2) ** 3 * (2 * n + 1) * (2 * n + 3))
-    if m < n:
-        m, n = n, m
-    return -Fraction(6 * m * m + 16 * m + 11,
-                     3 * (m + 2) ** 2 * (2 * m + 1) * (2 * m + 3)) \
-        * Fraction(n + 1, n + 2)
-
-
 class MatrixKind(enum.Enum):
     M = "M"
     B = "B"
@@ -154,23 +133,12 @@ class MatrixKind(enum.Enum):
     P_ORACLE = "P-oracle"
     Q = "Q"
 
-    @classmethod
-    def from_string(cls, text: str) -> "MatrixKind":
-        for kind in cls:
-            if kind.value.lower() == text.lower():
-                return kind
-        raise ValueError(f"unknown matrix kind {text!r}")
-
 
 class _RowsText:
     """Text forms shared by the section types; both read the dense entries."""
 
     def to_string_rows(self) -> list[list[str]]:
         return [[fraction_str(x) for x in row] for row in self.entries]
-
-    def __str__(self) -> str:
-        return "\n".join(
-            "  ".join(fraction_str(x) for x in row) for row in self.entries)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ available as a cross-check.
 With a floor L (a RationalFunction, see symbolic.known_floor) the pivots
 are checked against delta_n > L(n) for n <= N-1, and the last pivot against
 the bound that one recursion step gives with L(N-1) in place of
-delta_{N-1}; no floor is hand-coded here.  For the odd weights w_n = 2n+1
-the module also carries the known closed forms of z_n, d_n and s_n, so a
-run can confirm them exactly.
+delta_{N-1}; no floor is hand-coded here.  The paper's closed forms of
+z_n, d_n and s_n for the odd weights are symbolic.ODD_TRIDIAGONAL, which
+paper-check compares with the multipliers and the band computed here.
 """
 
 from __future__ import annotations
@@ -166,14 +166,6 @@ class DeltaSequence:
     last: int
     minimum: tuple[int, int]
 
-    @property
-    def complete(self) -> bool:
-        return not self.truncated
-
-    @property
-    def all_positive(self) -> bool:
-        return self.first_nonpositive is None
-
     @cached_property
     def deltas(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(*_pivot(*step)) for step in _continuant(self.form))
@@ -212,25 +204,6 @@ def elimination_multiplier(Q: FactoredSection, n: int) -> Fraction:
         raise DegenerateFactorError(
             f"column factor vanishes at index {n + 1} but not {n}")
     return cn / cn1
-
-
-def z_closed_odd(n: int) -> Fraction:
-    """z_n = (n+1)(n+3)/(n+2)^2, the multipliers for the odd weights."""
-    return Fraction((n + 1) * (n + 3), (n + 2) ** 2)
-
-
-def d_closed_odd(n: int) -> Fraction:
-    """Known tridiagonal diagonal for the odd weights, valid for n <= N-1."""
-    num = (16 * n**7 + 200 * n**6 + 1024 * n**5 + 2768 * n**4
-           + 4226 * n**3 + 3576 * n**2 + 1481 * n + 197)
-    den = (n + 2) ** 4 * (n + 3) * (2 * n + 1) * (2 * n + 3) * (2 * n + 5)
-    return Fraction(num, den)
-
-
-def s_closed_odd(n: int) -> Fraction:
-    """Known tridiagonal off-diagonal for the odd weights."""
-    return Fraction(-(n + 1) * (2 * n * n + 8 * n + 7),
-                    (n + 2) ** 2 * (n + 3) * (2 * n + 3))
 
 
 def tridiagonalize(Q: FactoredSection) -> TridiagonalForm:
@@ -439,7 +412,7 @@ def check_delta_bounds(D: DeltaSequence, floor: RationalFunction) -> BoundReport
     positive at every checked index, or ValueError is raised.  Every
     comparison is an exact rational one.
     """
-    if not D.complete:
+    if D.truncated:
         raise ValueError("bound check needs a complete delta sequence")
     T = D.form
     N = T.N
@@ -627,7 +600,7 @@ def certify(g: FactorableGenerators, N: int,
         floor = known_floor(g.weights)
         if floor is None:
             notes.append("bound checks skipped: no certified floor for this family")
-        elif not D.complete:
+        elif D.truncated:
             notes.append("bound checks skipped: pivot sequence stopped at "
                          f"n = {D.stopped_at}")
         else:

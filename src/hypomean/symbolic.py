@@ -19,10 +19,16 @@ for all n >= 1 propagates delta_n > L(n) from the base case delta_0 > L(0).
 Once the denominator of E is certified sign-definite, nonnegativity of the
 numerator is the whole story, and that is decided by coefficient tests
 with a Sturm-chain fallback, never by sampling.
+
+The closed forms the paper prints for the odd weights w_n = 2n+1 live here
+and nowhere else: ODD_Q, ODD_TRIDIAGONAL and the certificate expansion
+ODD_CERTIFICATE_REFERENCE.  paper-check proves the first two equal to the
+derived forms of linear:2,1 as identities of rational functions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,13 +39,6 @@ from .polynomials import (
     count_roots_above,
 )
 from .weights import LinearWeights
-
-# Known expansion of the induction-step certificate for the odd weights
-# w_n = 2n+1 (ascending coefficients); kept as a regression anchor.
-ODD_CERTIFICATE_REFERENCE = (
-    178, 35022, 285132, 927504, 1531563, 1447767,
-    824294, 282288, 54624, 4944, 96,
-)
 
 # Families whose closed forms are kept per process.  Nothing in them
 # depends on a floor, so a floor search derives each family once.
@@ -75,6 +74,54 @@ class SymbolicTridiagonal:
     z: RationalFunction
     d: RationalFunction
     s: RationalFunction
+
+
+def _odd_closed_forms() -> tuple[SymbolicQ, SymbolicTridiagonal]:
+    def linear(a, b, var="n"):
+        return Polynomial((b, a), var)
+
+    def quotient(num, *den_factors):
+        return RationalFunction(
+            num, math.prod(den_factors, start=Polynomial.constant(1, num.var)))
+
+    three = Polynomial.constant(3)
+    n1, n2, n3 = linear(1, 1), linear(1, 2), linear(1, 3)
+    q = SymbolicQ(
+        diagonal=quotient(Polynomial((7, 66, 104, 60, 12)),
+                          three, n2 ** 3, linear(2, 1), linear(2, 3)),
+        offdiag_row=quotient(Polynomial((11, 16, 6), "m"), linear(1, 2, "m") ** 2,
+                             linear(2, 1, "m"), linear(2, 3, "m")),
+        offdiag_col=quotient(-n1, three, n2),
+    )
+    tridiagonal = SymbolicTridiagonal(
+        z=quotient(n1 * n3, n2 ** 2),
+        d=quotient(Polynomial((197, 1481, 3576, 4226, 2768, 1024, 200, 16)),
+                   n2 ** 4, n3, linear(2, 1), linear(2, 3), linear(2, 5)),
+        s=quotient(-n1 * Polynomial((7, 8, 2)), n2 ** 2, n3, linear(2, 3)),
+    )
+    return q, tridiagonal
+
+
+# The closed forms the paper prints for the odd weights w_n = 2n+1, as
+# products of their factors (coefficients ascending):
+#
+#   q_nn = (12n^4 + 60n^3 + 104n^2 + 66n + 7) / (3 (n+2)^3 (2n+1) (2n+3))
+#   R(m) = (6m^2 + 16m + 11) / ((m+2)^2 (2m+1) (2m+3))
+#   C(n) = -(n+1) / (3 (n+2))
+#   z(n) = (n+1)(n+3) / (n+2)^2
+#   d(n) = (16n^7 + 200n^6 + 1024n^5 + 2768n^4 + 4226n^3 + 3576n^2
+#           + 1481n + 197) / ((n+2)^4 (n+3) (2n+1) (2n+3) (2n+5))
+#   s(n) = -(n+1)(2n^2 + 8n + 7) / ((n+2)^2 (n+3) (2n+3))
+#
+# with q_mn = R(m) C(n) for m > n and d valid for n <= N-1.
+ODD_Q, ODD_TRIDIAGONAL = _odd_closed_forms()
+
+# Known expansion of the induction-step certificate for the odd weights
+# (ascending coefficients); kept as a regression anchor.
+ODD_CERTIFICATE_REFERENCE = (
+    178, 35022, 285132, 927504, 1531563, 1447767,
+    824294, 282288, 54624, 4944, 96,
+)
 
 
 @dataclass(frozen=True)
@@ -130,9 +177,9 @@ def _prefix_sum_poly(term: Polynomial) -> Polynomial:
     return p
 
 
-def _family_polys(alpha: Fraction, beta: Fraction, var: str):
-    one_shift = Polynomial((1, 1), var)
-    c = Polynomial((beta, alpha), var)
+def _family_polys(alpha: Fraction, beta: Fraction):
+    one_shift = Polynomial((1, 1), "n")
+    c = Polynomial((beta, alpha), "n")
     W = _prefix_sum_poly(c)
     S = _prefix_sum_poly(c * c)
     return c, c.compose(one_shift), W, W.compose(one_shift), S, S.compose(one_shift)
@@ -159,7 +206,7 @@ def symbolic_q(weights) -> SymbolicQ:
 
 @lru_cache(maxsize=FAMILY_MEMO_SIZE)
 def _symbolic_q(alpha: Fraction, beta: Fraction) -> SymbolicQ:
-    c, c1, W, W1, S, S1 = _family_polys(alpha, beta, "n")
+    c, c1, W, W1, S, S1 = _family_polys(alpha, beta)
     den = c * c * c1 * c1 * W1 * W1
     if den.is_zero:
         raise SymbolicStructureError("degenerate family: zero denominator")
@@ -167,9 +214,10 @@ def _symbolic_q(alpha: Fraction, beta: Fraction) -> SymbolicQ:
     num = c * c * c1 * c1 * W * W + S * cross * cross
     diagonal = RationalFunction(den - num, den)
 
-    cm, cm1, Wm, Wm1, _, _ = _family_polys(alpha, beta, "m")
-    offdiag_row = RationalFunction(cm1 * Wm1 - cm * Wm, cm * cm1 * Wm1)
-    offdiag_col = RationalFunction(c * S1 * W - c1 * S * W1, c * c1 * W1)
+    # R is read in the row index m: the same function, renamed.
+    factor_den = c * c1 * W1
+    offdiag_row = RationalFunction(cross, factor_den).compose(Polynomial((0, 1), "m"))
+    offdiag_col = RationalFunction(c * S1 * W - c1 * S * W1, factor_den)
     return SymbolicQ(diagonal=diagonal,
                      offdiag_row=offdiag_row,
                      offdiag_col=offdiag_col)

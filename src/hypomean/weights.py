@@ -119,9 +119,9 @@ class FactorableGenerators:
     entries of Q are read from these integers, so the fast paths build a
     Fraction only for a value they keep; the accessors for the weights and
     the row factors a_i = 1/W_i build theirs from the integers on each
-    call.  The columns of the auxiliary factor B, which the finite-sum
-    oracle for P reads, are memoized as integers over one denominator per
-    column.  The caches only ever grow and are extended
+    call.  The columns of the auxiliary factor B, which its entries and
+    the finite-sum oracle for P read, are memoized as integers over one
+    denominator per column.  The caches only ever grow and are extended
     under a lock, so concurrent readers are safe; they live as long as
     this object.
     """
@@ -160,8 +160,6 @@ class FactorableGenerators:
         """w_n = c^_n / lambda."""
         return Fraction(self.scaled(n)[0], self.scale)
 
-    c = weight
-
     def a(self, i: int) -> Fraction:
         """a_i = 1/W_i = lambda / W^_i."""
         return Fraction(self.scale, self.scaled(i)[1])
@@ -172,11 +170,11 @@ class FactorableGenerators:
         computed once per index.
 
         With r = a_{j+1}/a_j the entries are c_i (1/c_j - r/c_{j+1}) for
-        i <= j and -r for i = j+1; matrices.b_entry computes a single entry
-        from the same integers, and the tests check both against that
-        definition on Fractions.  In the integer generators the scale
-        cancels: over the denominator c^_j c^_{j+1} W^_{j+1} the entries
-        are c^_i (c^_{j+1} W^_{j+1} - c^_j W^_j) and -W^_j c^_j c^_{j+1}.
+        i <= j and -r for i = j+1; matrices.b_entry reads its entries from
+        here, and the tests check them against that definition on
+        Fractions.  In the integer generators the scale cancels: over the
+        denominator c^_j c^_{j+1} W^_{j+1} the entries are
+        c^_i (c^_{j+1} W^_{j+1} - c^_j W^_j) and -W^_j c^_j c^_{j+1}.
         """
         column = self._B.get(j)
         if column is None:

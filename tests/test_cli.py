@@ -4,6 +4,7 @@ import json
 import pytest
 
 import hypomean.cli as cli
+from hypomean import ODD_Q, ODD_TRIDIAGONAL, Polynomial, RationalFunction
 from hypomean.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_NOT_POSITIVE,
@@ -178,3 +179,21 @@ class TestPaperCheck:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.rstrip().endswith("all checks passed")
+
+    @pytest.mark.parametrize("name, forms, field, check", [
+        ("ODD_Q", ODD_Q, "diagonal", "q-closed-form-agreement"),
+        ("ODD_TRIDIAGONAL", ODD_TRIDIAGONAL, "d", "tridiagonal-closed-forms"),
+    ])
+    def test_a_wrong_closed_form_fails_its_check(self, name, forms, field, check,
+                                                 monkeypatch, capsys):
+        rf = getattr(forms, field)
+        coeffs = list(rf.num.coeffs)
+        coeffs[0] += 1
+        wrong = RationalFunction(Polynomial(coeffs, rf.var), rf.den)
+        monkeypatch.setattr(cli, name, dataclasses.replace(forms, **{field: wrong}))
+        assert main(["paper-check"]) == EXIT_NOT_POSITIVE
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("[FAIL]")]
+        assert len(failed) == 1 and failed[0].startswith(f"[FAIL] {check}: ")
+        assert "is not the odd-weights closed form" in failed[0]
+        assert lines[-1] == "SOME CHECKS FAILED"

@@ -11,6 +11,7 @@ from hypomean import (
     FactoredSection,
     LinearWeights,
     MatrixKind,
+    ODD_Q,
     TableWeights,
     b_entry,
     finite_section,
@@ -18,7 +19,6 @@ from hypomean import (
     m_entry,
     p_entry_closed,
     p_entry_oracle,
-    q_closed_odd,
     q_entry,
 )
 
@@ -33,7 +33,7 @@ RATIONAL_TABLE = tuple(F(k % 5 + 1, k % 3 + 1) for k in range(32))
 # integer generators.
 
 def _m_definition(g, i, j):
-    return g.a(i) * g.c(j) if j <= i else 0
+    return g.a(i) * g.weight(j) if j <= i else 0
 
 
 def _b_definition(g, i, j):
@@ -42,7 +42,7 @@ def _b_definition(g, i, j):
     ratio = g.a(j + 1) / g.a(j)
     if i == j + 1:
         return -ratio
-    return g.c(i) * (1 / g.c(j) - ratio / g.c(j + 1))
+    return g.weight(i) * (1 / g.weight(j) - ratio / g.weight(j + 1))
 
 
 DEFINITION_FAMILIES = (LinearWeights(2, 1), LinearWeights(0, 1),
@@ -151,14 +151,16 @@ class TestQEntries:
         assert q_entry(odd_gens, 1, 1) == F(83, 405)
 
     def test_specialized_closed_form_values(self):
-        assert q_closed_odd(0, 0) == F(7, 72)
-        assert q_closed_odd(1, 0) == F(-11, 270)
-        assert q_closed_odd(1, 1) == F(249, 1215) == F(83, 405)
+        assert ODD_Q.diagonal.eval(0) == F(7, 72)
+        assert ODD_Q.offdiag_row.eval(1) * ODD_Q.offdiag_col.eval(0) == F(-11, 270)
+        assert ODD_Q.diagonal.eval(1) == F(249, 1215) == F(83, 405)
 
     def test_specialization_agreement_small_grid(self, odd_gens):
         for m in range(13):
-            for n in range(13):
-                assert q_entry(odd_gens, m, n) == q_closed_odd(m, n)
+            assert q_entry(odd_gens, m, m) == ODD_Q.diagonal.eval(m)
+            for n in range(m):
+                closed = ODD_Q.offdiag_row.eval(m) * ODD_Q.offdiag_col.eval(n)
+                assert q_entry(odd_gens, m, n) == q_entry(odd_gens, n, m) == closed
 
 
 class TestFiniteSections:
@@ -252,9 +254,3 @@ class TestExactMatrix:
         text = fraction_str(huge)
         assert sys.get_int_max_str_digits() == limit
         assert text.endswith("/3") and len(text) == 5003
-
-    def test_kind_from_string(self):
-        assert MatrixKind.from_string("q") is MatrixKind.Q
-        assert MatrixKind.from_string("P-oracle") is MatrixKind.P_ORACLE
-        with pytest.raises(ValueError):
-            MatrixKind.from_string("R")

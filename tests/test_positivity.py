@@ -15,6 +15,7 @@ from hypomean import (
     FactoredSection,
     LinearWeights,
     MatrixKind,
+    ODD_TRIDIAGONAL,
     TableWeights,
     TridiagonalForm,
     Verdict,
@@ -23,7 +24,6 @@ from hypomean import (
     Polynomial,
     RationalFunction,
     check_delta_bounds,
-    d_closed_odd,
     delta_sequence,
     elimination_multiplier,
     finite_section,
@@ -31,11 +31,9 @@ from hypomean import (
     odd_delta_floor,
     parse_weight_spec,
     q_entry,
-    s_closed_odd,
     symbolic_q,
     symbolic_tridiagonal,
     tridiagonalize,
-    z_closed_odd,
 )
 from hypomean.matrices import ExactMatrix
 
@@ -154,7 +152,7 @@ def _pivot_fields(D: DeltaSequence) -> dict:
         "first_nonpositive": D.first_nonpositive,
         "stopped_at": D.stopped_at,
         "truncated": D.truncated,
-        "all_positive": D.all_positive,
+        "all_positive": D.first_nonpositive is None,
     }
 
 
@@ -261,13 +259,13 @@ def _tridiagonal_forms(draw):
 
 class TestEliminationMultiplier:
     def test_closed_values(self):
-        assert z_closed_odd(0) == F(3, 4)
-        assert z_closed_odd(1) == F(8, 9)
+        assert ODD_TRIDIAGONAL.z.eval(0) == F(3, 4)
+        assert ODD_TRIDIAGONAL.z.eval(1) == F(8, 9)
 
     def test_matches_closed_form_to_50(self, odd_gens):
         Q = finite_section(odd_gens, MatrixKind.Q, 51)
         for n in range(51):
-            assert elimination_multiplier(Q, n) == z_closed_odd(n)
+            assert elimination_multiplier(Q, n) == ODD_TRIDIAGONAL.z.eval(n)
 
     def test_constant_weights_give_zero_multiplier(self):
         g = FactorableGenerators(TableWeights((1, 1, 1, 1)))
@@ -308,8 +306,8 @@ class TestTridiagonalize:
         assert T.d[0] == F(197, 720)
         assert T.d[1] == F(13488, 34020) == F(1124, 2835)
         for n in range(4):
-            assert T.d[n] == d_closed_odd(n)
-            assert T.s[n] == s_closed_odd(n)
+            assert T.d[n] == ODD_TRIDIAGONAL.d.eval(n)
+            assert T.s[n] == ODD_TRIDIAGONAL.s.eval(n)
         assert T.d[4] == q_entry(odd_gens, 4, 4)
 
 
@@ -350,18 +348,18 @@ class TestDeltaSequence:
         D = delta_sequence(tridiagonalize(Q1))
         assert D.deltas[0] == F(197, 720)
         assert D.deltas[1] == F(83, 405) - F(245, 1773)
-        assert D.all_positive and D.complete
+        assert D.first_nonpositive is None and not D.truncated
 
     def test_decoupled_diagonal(self):
         D = delta_sequence(TridiagonalForm(d=(F(1), F(1)), s=(F(0),)))
         assert D.deltas == (F(1), F(1))
-        assert D.all_positive
+        assert D.first_nonpositive is None
 
     def test_singular_two_by_two(self):
         D = delta_sequence(TridiagonalForm(d=(F(1), F(1)), s=(F(1),)))
         assert D.deltas == (F(1), F(0))
         assert D.stopped_at == 1
-        assert not D.all_positive
+        assert D.first_nonpositive == 1
         assert D.determinant() == 0
 
     def test_mid_zero_truncates(self):
@@ -584,7 +582,7 @@ class TestDeltaBoundsAgainstFractions:
     @settings(max_examples=200, deadline=None)
     def test_matches_the_fraction_reference_on_random_forms(self, T):
         D = delta_sequence(T)
-        assume(D.complete)
+        assume(not D.truncated)
         assert check_delta_bounds(D, _NATURAL_FLOOR) == _bounds_oracle(T, _NATURAL_FLOOR)
 
 

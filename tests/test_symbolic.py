@@ -92,6 +92,7 @@ class TestAgainstNumericSections:
     def test_symbolic_q(self, weights):
         g = FactorableGenerators(weights)
         q = symbolic_q(weights)
+        assert (q.offdiag_row.var, q.offdiag_col.var) == ("m", "n")
         for n in SAMPLES:
             assert q.diagonal.eval(n) == q_entry(g, n, n)
             for m in (n + 1, n + 3):

@@ -60,7 +60,7 @@ class TestPartialSums:
             assert odd_gens.scaled(i)[1] == (i + 1) ** 2
 
     def test_generators_values(self, odd_gens):
-        assert [(odd_gens.a(i), odd_gens.c(i)) for i in range(3)] == [
+        assert [(odd_gens.a(i), odd_gens.weight(i)) for i in range(3)] == [
             (1, 1), (Fraction(1, 4), 3), (Fraction(1, 9), 5)]
 
     @given(i=st.integers(0, 200),
@@ -71,7 +71,7 @@ class TestPartialSums:
         weights = LinearWeights(alpha, beta)
         g = FactorableGenerators(weights)
         w = [weights.weight(k) for k in range(i + 1)]
-        assert g.c(i) == w[i]
+        assert g.weight(i) == w[i]
         assert g.a(i) * sum(w) == 1
         assert g.scaled(i) == (g.scale * w[i], g.scale * sum(w),
                                g.scale ** 2 * sum(x * x for x in w))
