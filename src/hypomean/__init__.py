@@ -23,9 +23,7 @@ from .matrices import (
     fraction_str,
     m_entry,
     offdiag_factors,
-    p_entry_closed,
     p_entry_oracle,
-    q_entry,
 )
 from .positivity import (
     BoundReport,
@@ -47,6 +45,7 @@ from .symbolic import (
     CertificateInconclusive,
     InductionCertificate,
     ODD_CERTIFICATE_REFERENCE,
+    ODD_FLOOR,
     ODD_Q,
     ODD_TRIDIAGONAL,
     SymbolicQ,
@@ -54,8 +53,6 @@ from .symbolic import (
     SymbolicTridiagonal,
     induction_certificate,
     known_floor,
-    odd_delta_floor,
-    proportionality_ratio,
     reference_ratio_odd,
     symbolic_q,
     symbolic_tridiagonal,

@@ -18,7 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .matrices import MatrixKind, finite_section, fraction_str, q_entry
+from .matrices import MatrixKind, finite_section, fraction_str
 from .polynomials import RationalFunction
 from .positivity import (
     CertifyOptions,
@@ -31,11 +31,11 @@ from .positivity import (
 )
 from .symbolic import (
     ODD_CERTIFICATE_REFERENCE,
+    ODD_FLOOR,
     ODD_Q,
     ODD_TRIDIAGONAL,
     induction_certificate,
     known_floor,
-    odd_delta_floor,
     reference_ratio_odd,
     symbolic_q,
     symbolic_tridiagonal,
@@ -219,7 +219,7 @@ def _check_oracle_equivalence() -> tuple[bool, str]:
 def _check_q_agreement() -> tuple[bool, str]:
     if symbolic_q(LinearWeights(2, 1)) != ODD_Q:
         return False, "symbolic Q of linear:2,1 is not the odd-weights closed form"
-    g = _odd_generators()
+    section = finite_section(_odd_generators(), MatrixKind.Q, 50)
     diag, row, col = ([f.eval(k) for k in range(51)]
                       for f in (ODD_Q.diagonal, ODD_Q.offdiag_row, ODD_Q.offdiag_col))
 
@@ -232,11 +232,11 @@ def _check_q_agreement() -> tuple[bool, str]:
         (1, 1, Fraction(83, 405)),
     )
     for m, n, expected in anchors:
-        if closed(m, n) != expected or q_entry(g, m, n) != expected:
+        if closed(m, n) != expected or section.entry(m, n) != expected:
             return False, f"anchor q({m},{n}) != {expected}"
     for m in range(51):
         for n in range(51):
-            if q_entry(g, m, n) != closed(m, n):
+            if section.entry(m, n) != closed(m, n):
                 return False, f"derived and specialized Q disagree at ({m},{n})"
     return True, "derived Q matches the odd-weights closed form on 0..50 plus anchors"
 
@@ -255,7 +255,7 @@ def _check_tridiagonal_forms() -> tuple[bool, str]:
     for n in range(N):
         if T.d[n] != d.eval(n) or T.s[n] != s.eval(n):
             return False, f"tridiagonal entry mismatch at {n}"
-    if T.d[N] != q_entry(g, N, N):
+    if T.d[N] != ODD_Q.diagonal.eval(N):
         return False, "last diagonal is not q_NN"
     Q1 = finite_section(g, MatrixKind.Q, 1)
     T1 = tridiagonalize(Q1)
@@ -289,7 +289,7 @@ def _check_determinant_preservation() -> tuple[bool, str]:
 
 
 def _check_certificate() -> tuple[bool, str]:
-    cert = induction_certificate(LinearWeights(2, 1), odd_delta_floor())
+    cert = induction_certificate(LinearWeights(2, 1), ODD_FLOOR)
     if not cert.nonneg_for_n_ge_1:
         return False, "certificate not certified nonnegative"
     if not cert.base_holds:
@@ -397,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "N", 0) < 0:
             raise ValueError("N must be nonnegative")
         return args.handler(args)
-    except (ValueError, IndexError, ZeroDivisionError) as exc:
+    except (ValueError, IndexError, ZeroDivisionError, OSError) as exc:
         sys.stderr.write(f"hypomean: error: {exc}\n")
         return EXIT_USAGE
 

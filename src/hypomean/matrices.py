@@ -4,10 +4,12 @@ Four matrices matter here.  M is the weighted mean matrix itself.  B is the
 upper-Hessenberg auxiliary factor whose columns have finite support, which
 makes every entry of P = B*B a finite exact sum.  P also has a closed form
 in the generators, and Q = I - P is the object whose finite sections get
-certified positive.  The closed form and the finite-sum oracle are kept as
-two independent routes on purpose; tests compare them entrywise.  The
-entries here hold for any weights; the paper's closed form of Q for the odd
-weights is symbolic.ODD_Q, which paper-check compares with q_entry.
+certified positive.  The closed forms of P and Q are read only through
+their factored sections (finite_section); the finite-sum oracle
+p_entry_oracle is kept as an independent route on purpose, and tests
+compare the two sections entrywise.  The entries here hold for any
+weights; the paper's closed form of Q for the odd weights is
+symbolic.ODD_Q, which paper-check compares with the Q section.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Callable
 from .weights import FactorableGenerators, format_rational
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def m_entry(g: FactorableGenerators, i: int, j: int) -> Fraction:
@@ -79,31 +80,12 @@ def _p_diagonal(g: FactorableGenerators, j: int) -> tuple[int, int]:
         P = (c^_j c^_{j+1} W^_j)^2 + S^_j (c^_{j+1} W^_{j+1} - c^_j W^_j)^2
         D = (c^_j c^_{j+1} W^_{j+1})^2
 
-    in the integer generators; the scale cancels.
+    in the integer generators; the scale cancels.  This is the published
+    a-form of p_jj with numerator and denominator cleared by W_j^2 W_{j+1}^2.
     """
     c, W, S = g.scaled(j)
     c1, W1, _ = g.scaled(j + 1)
     return (c * c1 * W) ** 2 + S * (c1 * W1 - c * W) ** 2, (c * c1 * W1) ** 2
-
-
-def p_entry_closed(g: FactorableGenerators, i: int, j: int) -> Fraction:
-    """Interrupter entry from the closed form.
-
-    The diagonal value is
-
-        (c_j^2 c_{j+1}^2 W_j^2 + S_j (c_{j+1} W_{j+1} - c_j W_j)^2)
-        / (c_j^2 c_{j+1}^2 W_{j+1}^2)
-
-    which is the published a-form with numerator and denominator cleared by
-    W_j^2 W_{j+1}^2; off the diagonal the entry is -R_max * C_min with the
-    factors of offdiag_factors.
-    """
-    if i == j:
-        return Fraction(*_p_diagonal(g, j))
-    hi, lo = (i, j) if i > j else (j, i)
-    row, _ = offdiag_factors(g, hi)
-    _, col = offdiag_factors(g, lo)
-    return -row * col
 
 
 def p_entry_oracle(g: FactorableGenerators, i: int, j: int) -> Fraction:
@@ -118,12 +100,6 @@ def p_entry_oracle(g: FactorableGenerators, i: int, j: int) -> Fraction:
     u, den_i = g.b_column_scaled(i)
     v, den_j = g.b_column_scaled(j)
     return Fraction(sum(map(mul, u, v)), den_i * den_j)
-
-
-def q_entry(g: FactorableGenerators, i: int, j: int) -> Fraction:
-    """Entry of Q = I - P, via the closed form of P."""
-    delta = _ONE if i == j else _ZERO
-    return delta - p_entry_closed(g, i, j)
 
 
 class MatrixKind(enum.Enum):
@@ -279,9 +255,10 @@ def finite_section(g: FactorableGenerators, kind: MatrixKind,
 
     Sections of Q and of the closed form of P come back factored, in O(N):
     the diagonal plus the off-diagonal factors R_k and C_k (negated for P),
-    computed once per index.  Their values are identical to the per-entry
-    functions, which the test suite pins down.  The other kinds are dense;
-    the P-oracle section carries the symmetric flag.
+    computed once per index.  They are the only reader of these closed
+    forms; the test suite compares the P-closed section with the P-oracle
+    one entry by entry.  The other kinds are dense; the P-oracle section
+    carries the symmetric flag.
     """
     if N < 0:
         raise ValueError("section size N must be nonnegative")

@@ -21,9 +21,10 @@ numerator is the whole story, and that is decided by coefficient tests
 with a Sturm-chain fallback, never by sampling.
 
 The closed forms the paper prints for the odd weights w_n = 2n+1 live here
-and nowhere else: ODD_Q, ODD_TRIDIAGONAL and the certificate expansion
-ODD_CERTIFICATE_REFERENCE.  paper-check proves the first two equal to the
-derived forms of linear:2,1 as identities of rational functions.
+and nowhere else: ODD_Q, ODD_TRIDIAGONAL, the delta floor ODD_FLOOR and the
+certificate expansion ODD_CERTIFICATE_REFERENCE.  paper-check proves the
+first two equal to the derived forms of linear:2,1 as identities of
+rational functions.
 """
 
 from __future__ import annotations
@@ -115,6 +116,10 @@ def _odd_closed_forms() -> tuple[SymbolicQ, SymbolicTridiagonal]:
 #
 # with q_mn = R(m) C(n) for m > n and d valid for n <= N-1.
 ODD_Q, ODD_TRIDIAGONAL = _odd_closed_forms()
+
+# The delta floor (4n+10)/(4n^2+20n+37) of the odd weights.  Built once, so
+# that checking pivots against it runs no polynomial gcd.
+ODD_FLOOR = RationalFunction(Polynomial((10, 4)), Polynomial((37, 20, 4)))
 
 # Known expansion of the induction-step certificate for the odd weights
 # (ascending coefficients); kept as a regression anchor.
@@ -357,16 +362,6 @@ def induction_certificate(weights, L: RationalFunction) -> InductionCertificate:
     )
 
 
-def odd_delta_floor(var: str = "n") -> RationalFunction:
-    """The floor (4n+10)/(4n^2+20n+37) used for the odd weights."""
-    return RationalFunction(Polynomial((10, 4), var),
-                            Polynomial((37, 20, 4), var))
-
-
-# Built once, so that checking pivots against it runs no polynomial gcd.
-_ODD_FLOOR = odd_delta_floor()
-
-
 def known_floor(weights) -> RationalFunction | None:
     """The certified delta floor of a family, or None when none is known.
 
@@ -375,21 +370,20 @@ def known_floor(weights) -> RationalFunction | None:
     serves every linear:2k,k.
     """
     if isinstance(weights, LinearWeights) and weights.alpha == 2 * weights.beta:
-        return _ODD_FLOOR
+        return ODD_FLOOR
     return None
 
 
-def proportionality_ratio(p: Polynomial, q: Polynomial) -> Fraction | None:
-    """The constant r with p == q.scale(r), or None if no such constant."""
-    if p.is_zero or q.is_zero:
-        return Fraction(0) if p.is_zero and q.is_zero else None
-    if p.degree != q.degree:
-        return None
-    r = p.leading / q.leading
-    return r if p == q.scale(r) else None
-
-
 def reference_ratio_odd(certificate: Polynomial) -> Fraction | None:
-    """Proportionality constant against the known odd-weights certificate."""
+    """+1 or -1 when a certificate is the known odd-weights expansion up to
+    sign, else None.
+
+    Certificates have coprime integer coefficients, and so has the
+    reference, so no other ratio between the two is possible.
+    """
     ref = Polynomial(ODD_CERTIFICATE_REFERENCE, certificate.var)
-    return proportionality_ratio(certificate, ref)
+    if certificate == ref:
+        return Fraction(1)
+    if certificate == -ref:
+        return Fraction(-1)
+    return None

@@ -117,13 +117,11 @@ class FactorableGenerators:
     integers: c^_k = lambda w_k, W^_k = lambda W_k and S^_k = lambda^2 S_k,
     where W_k and S_k are the prefix sums of w and of w^2.  The closed-form
     entries of Q are read from these integers, so the fast paths build a
-    Fraction only for a value they keep; the accessors for the weights and
-    the row factors a_i = 1/W_i build theirs from the integers on each
-    call.  The columns of the auxiliary factor B, which its entries and
-    the finite-sum oracle for P read, are memoized as integers over one
-    denominator per column.  The caches only ever grow and are extended
-    under a lock, so concurrent readers are safe; they live as long as
-    this object.
+    Fraction only for a value they keep.  The columns of the auxiliary
+    factor B, which its entries and the finite-sum oracle for P read, are
+    memoized as integers over one denominator per column.  The caches only
+    ever grow and are extended under a lock, so concurrent readers are safe;
+    they live as long as this object.
     """
 
     def __init__(self, weights: WeightSequence):
@@ -155,14 +153,6 @@ class FactorableGenerators:
         if k >= len(self._hat):
             self._ensure(k)
         return self._hat[k]
-
-    def weight(self, n: int) -> Fraction:
-        """w_n = c^_n / lambda."""
-        return Fraction(self.scaled(n)[0], self.scale)
-
-    def a(self, i: int) -> Fraction:
-        """a_i = 1/W_i = lambda / W^_i."""
-        return Fraction(self.scale, self.scaled(i)[1])
 
     def b_column_scaled(self, j: int) -> tuple[tuple[int, ...], int]:
         """Column j of the auxiliary factor B down to its last nonzero

@@ -91,6 +91,14 @@ class TestExitCodes:
         assert main([sub, "--N", "-1"]) == EXIT_USAGE
         assert capsys.readouterr().err == "hypomean: error: N must be nonnegative\n"
 
+    @pytest.mark.parametrize("args", [["certify", "--N", "1"], ["dump", "--N", "1"],
+                                      ["paper-check"]], ids=lambda args: args[0])
+    def test_unwritable_json_path_is_a_usage_error(self, args, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        assert main(args + ["--json", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("hypomean: error: ")
+        assert not path.exists()
+
     def test_missing_n_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["certify"])
@@ -180,12 +188,19 @@ class TestPaperCheck:
         assert "FAIL" not in out
         assert out.rstrip().endswith("all checks passed")
 
-    @pytest.mark.parametrize("name, forms, field, check", [
-        ("ODD_Q", ODD_Q, "diagonal", "q-closed-form-agreement"),
-        ("ODD_TRIDIAGONAL", ODD_TRIDIAGONAL, "d", "tridiagonal-closed-forms"),
-    ])
-    def test_a_wrong_closed_form_fails_its_check(self, name, forms, field, check,
-                                                 monkeypatch, capsys):
+    # A wrong ODD_Q also fails the tridiagonal check, which compares the last
+    # pivot of the eliminated section with the paper's q_NN.
+    @pytest.mark.parametrize("name, forms, field, failures", [
+        ("ODD_Q", ODD_Q, "diagonal", [
+            "q-closed-form-agreement: symbolic Q of linear:2,1 is not the "
+            "odd-weights closed form",
+            "tridiagonal-closed-forms: last diagonal is not q_NN"]),
+        ("ODD_TRIDIAGONAL", ODD_TRIDIAGONAL, "d", [
+            "tridiagonal-closed-forms: symbolic band of linear:2,1 is not the "
+            "odd-weights closed form"]),
+    ], ids=["ODD_Q", "ODD_TRIDIAGONAL"])
+    def test_a_wrong_closed_form_fails_its_checks(self, name, forms, field, failures,
+                                                  monkeypatch, capsys):
         rf = getattr(forms, field)
         coeffs = list(rf.num.coeffs)
         coeffs[0] += 1
@@ -193,7 +208,6 @@ class TestPaperCheck:
         monkeypatch.setattr(cli, name, dataclasses.replace(forms, **{field: wrong}))
         assert main(["paper-check"]) == EXIT_NOT_POSITIVE
         lines = capsys.readouterr().out.splitlines()
-        failed = [line for line in lines if line.startswith("[FAIL]")]
-        assert len(failed) == 1 and failed[0].startswith(f"[FAIL] {check}: ")
-        assert "is not the odd-weights closed form" in failed[0]
+        failed = [line.rsplit("  (", 1)[0] for line in lines if line.startswith("[FAIL]")]
+        assert failed == [f"[FAIL] {detail}" for detail in failures]
         assert lines[-1] == "SOME CHECKS FAILED"

@@ -17,9 +17,7 @@ from hypomean import (
     finite_section,
     fraction_str,
     m_entry,
-    p_entry_closed,
     p_entry_oracle,
-    q_entry,
 )
 
 F = Fraction
@@ -28,21 +26,29 @@ F = Fraction
 RATIONAL_TABLE = tuple(F(k % 5 + 1, k % 3 + 1) for k in range(32))
 
 
-# The entries of M and B from their definitions on Fractions: the reference
-# for m_entry, b_entry and the integer columns of B, which all read the
-# integer generators.
+# The entries of M and B from their definitions on Fractions, with w_k and
+# a_i = 1/W_i read from the weights: the reference for m_entry, b_entry and
+# the integer columns of B, which all read the integer generators.
+
+def _w(g, k):
+    return g.weights.weight(k)
+
+
+def _a(g, i):
+    return 1 / sum(_w(g, k) for k in range(i + 1))
+
 
 def _m_definition(g, i, j):
-    return g.a(i) * g.weight(j) if j <= i else 0
+    return _a(g, i) * _w(g, j) if j <= i else 0
 
 
 def _b_definition(g, i, j):
     if i > j + 1:
         return 0
-    ratio = g.a(j + 1) / g.a(j)
+    ratio = _a(g, j + 1) / _a(g, j)
     if i == j + 1:
         return -ratio
-    return g.weight(i) * (1 / g.weight(j) - ratio / g.weight(j + 1))
+    return _w(g, i) * (1 / _w(g, j) - ratio / _w(g, j + 1))
 
 
 DEFINITION_FAMILIES = (LinearWeights(2, 1), LinearWeights(0, 1),
@@ -91,9 +97,10 @@ class TestAuxiliaryFactorEntries:
 
 class TestInterrupterEntries:
     def test_closed_form_spec_values(self, odd_gens):
-        assert p_entry_closed(odd_gens, 0, 0) == F(65, 72)
-        assert p_entry_closed(odd_gens, 1, 0) == F(11, 270)
-        assert p_entry_closed(odd_gens, 0, 1) == F(11, 270)
+        P = finite_section(odd_gens, MatrixKind.P_CLOSED, 1)
+        assert P.entry(0, 0) == F(65, 72)
+        assert P.entry(1, 0) == F(11, 270)
+        assert P.entry(0, 1) == F(11, 270)
 
     def test_oracle_spec_values(self, odd_gens):
         assert p_entry_oracle(odd_gens, 0, 0) == F(11, 12) ** 2 + F(1, 4) ** 2
@@ -123,10 +130,11 @@ class TestInterrupterEntries:
     def test_oracle_on_a_rational_family_at_n30(self):
         # lambda = 24: the integer columns of B carry the scale.
         g = FactorableGenerators(LinearWeights(F(7, 3), F(5, 8)))
+        closed = finite_section(g, MatrixKind.P_CLOSED, 30)
         for i in range(31):
             for j in range(i, 31):
                 oracle = p_entry_oracle(g, i, j)
-                assert oracle == p_entry_closed(g, i, j), (i, j)
+                assert oracle == closed.entry(i, j), (i, j)
                 assert oracle == sum(b_entry(g, k, i) * b_entry(g, k, j)
                                      for k in range(i + 2)), (i, j)
 
@@ -137,18 +145,13 @@ class TestInterrupterEntries:
             assert tuple(F(x, den) for x in entries) == tuple(
                 _b_definition(g, i, j) for i in range(j + 2))
 
-    def test_oracle_equivalence_small_grid(self, all_families):
-        for g in all_families:
-            for i in range(13):
-                for j in range(13):
-                    assert p_entry_closed(g, i, j) == p_entry_oracle(g, i, j)
-
 
 class TestQEntries:
     def test_spec_values(self, odd_gens):
-        assert q_entry(odd_gens, 0, 0) == F(7, 72)
-        assert q_entry(odd_gens, 1, 0) == F(-11, 270)
-        assert q_entry(odd_gens, 1, 1) == F(83, 405)
+        Q = finite_section(odd_gens, MatrixKind.Q, 1)
+        assert Q.entry(0, 0) == F(7, 72)
+        assert Q.entry(1, 0) == F(-11, 270)
+        assert Q.entry(1, 1) == F(83, 405)
 
     def test_specialized_closed_form_values(self):
         assert ODD_Q.diagonal.eval(0) == F(7, 72)
@@ -156,11 +159,12 @@ class TestQEntries:
         assert ODD_Q.diagonal.eval(1) == F(249, 1215) == F(83, 405)
 
     def test_specialization_agreement_small_grid(self, odd_gens):
+        Q = finite_section(odd_gens, MatrixKind.Q, 12)
         for m in range(13):
-            assert q_entry(odd_gens, m, m) == ODD_Q.diagonal.eval(m)
+            assert Q.entry(m, m) == ODD_Q.diagonal.eval(m)
             for n in range(m):
                 closed = ODD_Q.offdiag_row.eval(m) * ODD_Q.offdiag_col.eval(n)
-                assert q_entry(odd_gens, m, n) == q_entry(odd_gens, n, m) == closed
+                assert Q.entry(m, n) == Q.entry(n, m) == closed
 
 
 class TestFiniteSections:
@@ -174,13 +178,12 @@ class TestFiniteSections:
         assert section.entries == ((F(1), F(0)), (F(1, 4), F(3, 4)))
         assert not section.symmetric
 
-    def test_closed_and_oracle_sections_identical(self):
-        for weights in (LinearWeights(2, 1), LinearWeights(1, 5), LinearWeights(1, 1),
-                        LinearWeights(3, 1), TableWeights(RATIONAL_TABLE)):
-            g = FactorableGenerators(weights)
+    def test_closed_and_oracle_sections_identical(self, all_families):
+        for g in (*all_families, FactorableGenerators(LinearWeights(1, 5)),
+                  FactorableGenerators(TableWeights(RATIONAL_TABLE))):
             closed = finite_section(g, MatrixKind.P_CLOSED, 30)
             oracle = finite_section(g, MatrixKind.P_ORACLE, 30)
-            assert closed.entries == oracle.entries, weights
+            assert closed.entries == oracle.entries, g.spec_string()
 
     def test_q_section_is_exactly_symmetric(self, steep_gens):
         section = finite_section(steep_gens, MatrixKind.Q, 12)
@@ -190,13 +193,13 @@ class TestFiniteSections:
                 assert section.entry(i, j) == section.entry(j, i)
 
     def test_section_matches_entry_functions(self, natural_gens):
-        for kind, fn in ((MatrixKind.Q, q_entry),
-                         (MatrixKind.P_CLOSED, p_entry_closed),
-                         (MatrixKind.B, b_entry)):
-            section = finite_section(natural_gens, kind, 8)
-            for i in range(9):
-                for j in range(9):
-                    assert section.entry(i, j) == fn(natural_gens, i, j)
+        Q = finite_section(natural_gens, MatrixKind.Q, 8)
+        P = finite_section(natural_gens, MatrixKind.P_CLOSED, 8)
+        B = finite_section(natural_gens, MatrixKind.B, 8)
+        for i in range(9):
+            for j in range(9):
+                assert Q.entry(i, j) == (i == j) - P.entry(i, j)
+                assert B.entry(i, j) == b_entry(natural_gens, i, j)
 
     def test_q_and_p_sections_are_factored_with_lazy_entries(self, steep_gens):
         for kind in (MatrixKind.Q, MatrixKind.P_CLOSED):

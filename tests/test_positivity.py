@@ -15,6 +15,8 @@ from hypomean import (
     FactoredSection,
     LinearWeights,
     MatrixKind,
+    ODD_FLOOR,
+    ODD_Q,
     ODD_TRIDIAGONAL,
     TableWeights,
     TridiagonalForm,
@@ -28,9 +30,7 @@ from hypomean import (
     elimination_multiplier,
     finite_section,
     leading_minors,
-    odd_delta_floor,
     parse_weight_spec,
-    q_entry,
     symbolic_q,
     symbolic_tridiagonal,
     tridiagonalize,
@@ -308,7 +308,7 @@ class TestTridiagonalize:
         for n in range(4):
             assert T.d[n] == ODD_TRIDIAGONAL.d.eval(n)
             assert T.s[n] == ODD_TRIDIAGONAL.s.eval(n)
-        assert T.d[4] == q_entry(odd_gens, 4, 4)
+        assert T.d[4] == ODD_Q.diagonal.eval(4)
 
 
 class TestFactoredTridiagonalize:
@@ -480,7 +480,7 @@ def _tridiagonal(g, N):
 
 class TestDeltaBounds:
     def test_base_anchor_cross_multiplication(self):
-        assert odd_delta_floor().eval(0) == F(10, 37)
+        assert ODD_FLOOR.eval(0) == F(10, 37)
         assert 197 * 37 == 7289 > 7200 == 720 * 10
         assert F(197, 720) > F(10, 37)
 
@@ -488,13 +488,13 @@ class TestDeltaBounds:
         Q1 = finite_section(odd_gens, MatrixKind.Q, 1)
         D = delta_sequence(tridiagonalize(Q1))
         assert _odd_final_floor().eval(1) == F(7587, 116640)
-        report = check_delta_bounds(D, odd_delta_floor())
+        report = check_delta_bounds(D, ODD_FLOOR)
         assert report.final_bound == F(7587, 116640)
         assert report.final_ok
         assert not report.lower_bound_failures
 
     def test_second_floor_value(self, odd_gens):
-        assert odd_delta_floor().eval(1) == F(14, 61)
+        assert ODD_FLOOR.eval(1) == F(14, 61)
         Q2 = finite_section(odd_gens, MatrixKind.Q, 2)
         D = delta_sequence(tridiagonalize(Q2))
         assert D.deltas[1] > F(14, 61)
@@ -502,7 +502,7 @@ class TestDeltaBounds:
     def test_requires_complete_sequence(self):
         T = TridiagonalForm(d=(F(1), F(1), F(9)), s=(F(1), F(1)))
         with pytest.raises(ValueError):
-            check_delta_bounds(delta_sequence(T), odd_delta_floor())
+            check_delta_bounds(delta_sequence(T), ODD_FLOOR)
 
     def test_derived_final_floor_is_the_papers_polynomial(self):
         # F(N) = q_diag(N) - s(N-1)^2 / L(N-1) as rational functions, so the
@@ -511,7 +511,7 @@ class TestDeltaBounds:
         back = Polynomial((-1, 1))
         s_back = symbolic_tridiagonal(w).s.compose(back)
         derived = (symbolic_q(w).diagonal
-                   - s_back * s_back / odd_delta_floor().compose(back))
+                   - s_back * s_back / ODD_FLOOR.compose(back))
         assert derived == _odd_final_floor()
 
     def test_final_bound_matches_the_papers_polynomial(self, odd_gens):
@@ -569,7 +569,7 @@ class TestDeltaBoundsAgainstFractions:
 
     @pytest.mark.parametrize("N", [0, 1, 2, 20, 60])
     @pytest.mark.parametrize("spec, floor", [
-        ("linear:2,1", odd_delta_floor()),
+        ("linear:2,1", ODD_FLOOR),
         ("linear:1,1", _NATURAL_FLOOR),
         # Pivots turn negative, so some X_{n-1} are negative.
         ("linear:1,5", _NATURAL_FLOOR),
@@ -670,7 +670,7 @@ class TestCertify:
 
     def test_override_reaches_not_positive(self):
         g = FactorableGenerators(TableWeights((1, F(1, 100), F(1, 100))))
-        assert q_entry(g, 0, 0) < 0
+        assert finite_section(g, MatrixKind.Q, 0).entry(0, 0) < 0
         report = certify(g, 0, CertifyOptions(override_hypotheses=True))
         assert report.verdict is Verdict.NOT_POSITIVE
         assert "refused" not in report.notes
@@ -723,7 +723,7 @@ class TestCertify:
         # Every family with a floor has positive pivots, so give a table whose
         # pivot 1 vanishes the odd floor to reach the truncated case.
         g = FactorableGenerators(TableWeights((1, 1, 2, 4, 1)))
-        monkeypatch.setattr(positivity, "known_floor", lambda weights: odd_delta_floor())
+        monkeypatch.setattr(positivity, "known_floor", lambda weights: ODD_FLOOR)
         report = certify(g, 3, CertifyOptions(bounds=True, override_hypotheses=True))
         assert report.delta_stopped_at == 1
         assert report.bound_report is None

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypomean import (
     LinearWeights,
     MatrixKind,
     ODD_CERTIFICATE_REFERENCE,
+    ODD_FLOOR,
     Polynomial,
     RationalFunction,
     TableWeights,
@@ -15,8 +17,6 @@ from hypomean import (
     finite_section,
     induction_certificate,
     known_floor,
-    odd_delta_floor,
-    q_entry,
     reference_ratio_odd,
     symbolic_q,
     symbolic_tridiagonal,
@@ -90,14 +90,14 @@ class TestNonnegOnRay:
 @pytest.mark.parametrize("weights", FAMILIES, ids=lambda w: w.spec_string())
 class TestAgainstNumericSections:
     def test_symbolic_q(self, weights):
-        g = FactorableGenerators(weights)
+        Q = finite_section(FactorableGenerators(weights), MatrixKind.Q, max(SAMPLES) + 3)
         q = symbolic_q(weights)
         assert (q.offdiag_row.var, q.offdiag_col.var) == ("m", "n")
         for n in SAMPLES:
-            assert q.diagonal.eval(n) == q_entry(g, n, n)
+            assert q.diagonal.eval(n) == Q.entry(n, n)
             for m in (n + 1, n + 3):
                 assert (q.offdiag_row.eval(m) * q.offdiag_col.eval(n)
-                        == q_entry(g, m, n))
+                        == Q.entry(m, n))
 
     def test_symbolic_tridiagonal(self, weights):
         N = max(SAMPLES) + 1
@@ -114,7 +114,7 @@ class TestKnownFloor:
     def test_odd_family_and_its_multiples(self):
         for weights in (LinearWeights(2, 1), LinearWeights(4, 2),
                         LinearWeights(1, F(1, 2)), LinearWeights(F(2, 3), F(1, 3))):
-            assert known_floor(weights) == odd_delta_floor()
+            assert known_floor(weights) is ODD_FLOOR
 
     def test_other_families_have_none(self):
         for weights in (LinearWeights(1, 1), LinearWeights(3, 1),
@@ -129,6 +129,10 @@ class TestInductionCertificate:
         assert cert.nonneg_for_n_ge_1 and cert.base_holds
         assert reference_ratio_odd(cert.certificate) == 1
         assert cert.certificate.coeffs == tuple(F(c) for c in ODD_CERTIFICATE_REFERENCE)
+        # Both sides are primitive, so the ratio can only be +1 or -1.
+        assert math.gcd(*ODD_CERTIFICATE_REFERENCE) == 1
+        assert reference_ratio_odd(-cert.certificate) == -1
+        assert reference_ratio_odd(cert.certificate.shift(1)) is None
 
     def test_floor_vanishing_at_zero_is_rejected(self):
         floor = RationalFunction(Polynomial((0, 1)), Polynomial((1, 1)))

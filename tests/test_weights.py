@@ -60,8 +60,9 @@ class TestPartialSums:
             assert odd_gens.scaled(i)[1] == (i + 1) ** 2
 
     def test_generators_values(self, odd_gens):
-        assert [(odd_gens.a(i), odd_gens.weight(i)) for i in range(3)] == [
-            (1, 1), (Fraction(1, 4), 3), (Fraction(1, 9), 5)]
+        # lambda = 1: c^_i = w_i and W^_i = 1/a_i.
+        assert odd_gens.scale == 1
+        assert [odd_gens.scaled(i)[:2] for i in range(3)] == [(1, 1), (3, 4), (5, 9)]
 
     @given(i=st.integers(0, 200),
            alpha=st.fractions(0, 10, max_denominator=20),
@@ -71,8 +72,6 @@ class TestPartialSums:
         weights = LinearWeights(alpha, beta)
         g = FactorableGenerators(weights)
         w = [weights.weight(k) for k in range(i + 1)]
-        assert g.weight(i) == w[i]
-        assert g.a(i) * sum(w) == 1
         assert g.scaled(i) == (g.scale * w[i], g.scale * sum(w),
                                g.scale ** 2 * sum(x * x for x in w))
 
@@ -94,8 +93,6 @@ class TestPartialSums:
                     if g.scaled(i) != (2 * i + 1, (i + 1) ** 2,
                                        (i + 1) * (2 * i + 1) * (2 * i + 3) // 3):
                         errors.append(i)
-                    if g.a(i) != Fraction(1, (i + 1) ** 2):
-                        errors.append(("a", i))
                     j = i % 40
                     entries, den = g.b_column_scaled(j)
                     if Fraction(entries[-1], den) != -Fraction((j + 1) ** 2, (j + 2) ** 2):
