@@ -13,7 +13,8 @@ lines mean byte-identical output apart from timings.
 
 The list covers `symbolic --emit qdiag|tridiag|certificate` on seven linear
 families, `certify --bounds` on linear:2,1 and linear:1,1 at several N (in
-JSON and in --pretty), a table on the minors route, the five dumps of
+JSON and in --pretty), a table on the minors route, a table whose pivot 1
+vanishes (with and without the minor cross-check), the five dumps of
 linear:2,1 at N = 10, usage errors and paper-check.  Standard library only.
 """
 
@@ -44,6 +45,8 @@ COMMANDS = (
         "--json", OUT],
        ["certify", "--cross-check-minors", "--bounds", "--pretty",
         "--weights", "table:1,2,4,3,3", "--N", "3"]]
+    + [["certify", *flag, "--weights", "table:1,1,2,4,1", "--N", "3", "--json", OUT]
+       for flag in ([], ["--cross-check-minors"])]
     + [["dump", "--kind", kind, "--weights", "linear:2,1", "--N", "10", "--json", OUT]
        for kind in ("M", "B", "P-closed", "P-oracle", "Q")]
     + [["certify", "--N", "-1"],

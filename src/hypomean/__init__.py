@@ -12,6 +12,7 @@ from .weights import (
     TableWeights,
     WeightSequence,
     check_hypotheses,
+    fraction_str,
     parse_weight_spec,
 )
 from .matrices import (
@@ -20,7 +21,6 @@ from .matrices import (
     MatrixKind,
     b_entry,
     finite_section,
-    fraction_str,
     m_entry,
     offdiag_factors,
     p_entry_oracle,

@@ -18,7 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .matrices import MatrixKind, finite_section, fraction_str
+from .matrices import MatrixKind, finite_section
 from .polynomials import RationalFunction
 from .positivity import (
     CertifyOptions,
@@ -40,7 +40,7 @@ from .symbolic import (
     symbolic_q,
     symbolic_tridiagonal,
 )
-from .weights import FactorableGenerators, LinearWeights, parse_weight_spec
+from .weights import FactorableGenerators, LinearWeights, fraction_str, parse_weight_spec
 
 OUT_DIR_ENV = "HYPOMEAN_OUT_DIR"
 

@@ -15,14 +15,13 @@ symbolic.ODD_Q, which paper-check compares with the Q section.
 from __future__ import annotations
 
 import enum
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
 from typing import Callable
 
-from .weights import FactorableGenerators, format_rational
+from .weights import FactorableGenerators, fraction_str
 
 _ZERO = Fraction(0)
 
@@ -196,27 +195,6 @@ class FactoredSection(_RowsText):
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         size = range(self.n_rows)
         return tuple(tuple(self.entry(i, j) for j in size) for i in size)
-
-
-def fraction_str(value: Fraction) -> str:
-    """Like format_rational, but tolerant of very large exact integers.
-
-    Python 3.11+ limits int-to-str conversion to a number of digits; the
-    limit is raised for this one call and restored afterwards, since it is
-    process-wide state.
-    """
-    try:
-        return format_rational(value)
-    except ValueError:
-        if not hasattr(sys, "get_int_max_str_digits"):
-            raise
-    limit = sys.get_int_max_str_digits()
-    needed = value.numerator.bit_length() + value.denominator.bit_length() + 16
-    sys.set_int_max_str_digits(max(limit, needed))
-    try:
-        return format_rational(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 # The dense kinds.  Q and P-closed come back factored before this table

@@ -33,12 +33,11 @@ from .matrices import (
     FactoredSection,
     MatrixKind,
     finite_section,
-    fraction_str,
     require_weights,
 )
 from .polynomials import RationalFunction
 from .symbolic import known_floor
-from .weights import FactorableGenerators, HypothesisReport, check_hypotheses
+from .weights import FactorableGenerators, HypothesisReport, check_hypotheses, fraction_str
 
 _ZERO = Fraction(0)
 
@@ -149,8 +148,9 @@ class DeltaSequence:
     If some delta hits exactly zero before the last index the recursion
     cannot continue (the next step divides by it); deltas then ends with
     that zero, stopped_at records its index and truncated is set.  A zero
-    pivot means a vanishing leading minor, a genuinely inconclusive
-    boundary case in exact arithmetic.
+    pivot means a vanishing leading minor of the tridiagonal form; the
+    congruence that makes the form does not keep the leading minors of Q,
+    and certify reads the zero as Inconclusive.
 
     The continuant keeps only what the certificate reads: the first
     nonpositive pivot, the minimum pivot as an unreduced ratio, the last
@@ -303,31 +303,8 @@ def _integer_scales(entries: Sequence[Sequence[Fraction]]) -> list[int]:
     return scales
 
 
-def _det_bareiss(rows: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by Bareiss's fraction-free
-    elimination with row swaps; every division is exact.  Overwrites rows."""
-    n = len(rows)
-    sign, prev = 1, 1
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if rows[r][k]), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        row_k = rows[k]
-        p = row_k[k]
-        tail = row_k[k + 1:]
-        for r in range(k + 1, n):
-            row_r = rows[r]
-            f = row_r[k]
-            row_r[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row_r[k + 1:], tail)]
-        prev = p
-    return sign * prev
-
-
 def leading_minors(Q: ExactMatrix | FactoredSection) -> list[Fraction]:
-    """Exact determinants of all leading principal sections of a symmetric Q.
+    """Exact determinants of the leading principal sections of a symmetric Q.
 
     Q is scaled to the integer matrix A = DQD with D = diag(d_i) from
     _integer_scales, so that minor k of Q is minor k of A over
@@ -341,10 +318,12 @@ def leading_minors(Q: ExactMatrix | FactoredSection) -> list[Fraction]:
     sweep keeps only the upper triangle, about n^3/6 updates.  Only the
     minors themselves become Fractions.
 
-    If minor k vanishes the sweep cannot go on.  By Sylvester's identity,
-    minor m > k of A is then the determinant of the block (k..m, k..m) of
-    the swept matrix over p_prev^(m-k); each such block is evaluated by
-    the pivoted Bareiss elimination.
+    If minor k vanishes the sweep stops there, and row k of the swept
+    matrix decides the rest: it is p_prev times row k of the Schur
+    complement S of the leading k x k block.  A row that is zero beyond
+    column k decouples index k, and every later minor is zero.  Otherwise
+    S has a principal block [[0, x], [x, y]] with x != 0, so Q is not
+    positive semidefinite, and the list ends at minor k, shorter than n.
     """
     if not Q.symmetric:
         raise ValueError("leading minors expect a symmetric section")
@@ -361,11 +340,8 @@ def leading_minors(Q: ExactMatrix | FactoredSection) -> list[Fraction]:
         p = row_k[k]
         if not p:
             minors.append(_ZERO)
-            for m in range(k + 1, n):
-                scale2 *= scales[m] ** 2
-                block = [[A[min(i, j)][max(i, j)] for j in range(k, m + 1)]
-                         for i in range(k, m + 1)]
-                minors.append(Fraction(_det_bareiss(block), prev ** (m - k) * scale2))
+            if not any(row_k[k + 1:]):
+                minors.extend([_ZERO] * (n - k - 1))
             return minors
         minors.append(Fraction(p, scale2))
         for r in range(k + 1, n):
@@ -497,10 +473,15 @@ class CertificationReport:
         }
 
 
-def _verdict_from_minors(minors: Sequence[Fraction]) -> tuple[Verdict, str]:
+def _verdict_from_minors(minors: Sequence[Fraction], n: int) -> tuple[Verdict, str]:
+    """Verdict on the leading_minors of a section with n rows; a list
+    shorter than n ends at a zero minor whose row couples."""
     if any(m < 0 for m in minors):
         k = next(i for i, m in enumerate(minors) if m < 0)
         return Verdict.NOT_POSITIVE, f"leading minor {k} is negative"
+    if len(minors) < n:
+        return (Verdict.NOT_POSITIVE, f"leading minor {len(minors) - 1} vanishes "
+                "and its row couples to a later index")
     if any(m == 0 for m in minors):
         k = next(i for i, m in enumerate(minors) if m == 0)
         return Verdict.INCONCLUSIVE, f"leading minor {k} vanishes exactly"
@@ -570,14 +551,14 @@ def certify(g: FactorableGenerators, N: int,
 
     if D is None:
         minors = timed("minors_s", leading_minors, Q)
-        verdict, why = _verdict_from_minors(minors)
+        verdict, why = _verdict_from_minors(minors, Q.n_rows)
         notes.append(why)
         if options.bounds:
             notes.append("bound checks skipped: no pivots on the minors route")
         if options.cross_check_minors:
             notes.append("minor cross-check skipped: no pivots on the minors route")
-        return build(verdict, det=minors[-1], minors_agree=None, fallback=True,
-                     notes="; ".join(notes))
+        return build(verdict, det=minors[-1] if len(minors) == Q.n_rows else None,
+                     minors_agree=None, fallback=True, notes="; ".join(notes))
 
     det = timed("determinant_s", D.determinant)
     min_delta = timed("minimum_s", lambda: D.min_delta)
@@ -593,7 +574,7 @@ def certify(g: FactorableGenerators, N: int,
     else:
         verdict = Verdict.INCONCLUSIVE
         notes.append(f"pivot {first_np} vanishes exactly; "
-                     "a leading minor is zero")
+                     "a leading minor of the tridiagonal form is zero")
 
     bound_report = None
     if options.bounds:
@@ -612,7 +593,7 @@ def certify(g: FactorableGenerators, N: int,
     if options.cross_check_minors:
         minors = timed("minors_s", leading_minors, Q)
         minors_agree = (all(m > 0 for m in minors) == (verdict is Verdict.CERTIFIED_POSITIVE)
-                        and (det is None or minors[-1] == det))
+                        and (det is None or len(minors) < Q.n_rows or minors[-1] == det))
         if not minors_agree:
             verdict = Verdict.INCONCLUSIVE
             notes.append("cross-check disagreement between minors and pivots")

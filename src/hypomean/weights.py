@@ -10,6 +10,7 @@ decisions, so weights are Fractions and all derived values stay exact.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,11 +23,25 @@ def _to_fraction(value) -> Fraction:
         raise ValueError(f"not a rational: {value!r}") from exc
 
 
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction as 'p' or 'p/q'."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def fraction_str(value: Fraction) -> str:
+    """Render a Fraction as 'p' or 'p/q', however many digits it has.
+
+    Python 3.11+ limits int-to-str conversion to a number of digits; the
+    limit is raised for this one call and restored afterwards, since it is
+    process-wide state.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        if not hasattr(sys, "get_int_max_str_digits"):
+            raise
+    limit = sys.get_int_max_str_digits()
+    needed = value.numerator.bit_length() + value.denominator.bit_length() + 16
+    sys.set_int_max_str_digits(max(limit, needed))
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @dataclass(frozen=True)
@@ -54,7 +69,7 @@ class LinearWeights:
         return self.alpha * n + self.beta
 
     def spec_string(self) -> str:
-        return f"linear:{format_rational(self.alpha)},{format_rational(self.beta)}"
+        return f"linear:{fraction_str(self.alpha)},{fraction_str(self.beta)}"
 
 
 @dataclass(frozen=True)
@@ -86,7 +101,7 @@ class TableWeights:
         return self.values[n]
 
     def spec_string(self) -> str:
-        return "table:" + ",".join(format_rational(v) for v in self.values)
+        return "table:" + ",".join(fraction_str(v) for v in self.values)
 
 
 WeightSequence = LinearWeights | TableWeights

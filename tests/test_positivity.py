@@ -102,6 +102,24 @@ def _block_minors(m) -> list[Fraction]:
             for k in range(m.n_rows)]
 
 
+def _assert_minors_contract(m) -> list[Fraction]:
+    """leading_minors(m) against the pivoted oracle.  A full list equals
+    _block_minors.  A list that ends early ends at a zero minor k, equals
+    the oracle up to k, and m is indefinite: an earlier minor is negative,
+    or the principal minor on {0..k, j} is negative for some j > k."""
+    minors, oracle = leading_minors(m), _block_minors(m)
+    n, k = m.n_rows, len(minors) - 1
+    if k == n - 1:
+        assert minors == oracle
+        return minors
+    assert minors == oracle[:k + 1] and minors[k] == 0
+    lead = list(range(k + 1))
+    assert (any(x < 0 for x in minors[:k])
+            or any(_det_pivoted([[m.entries[a][b] for b in lead + [j]] for a in lead + [j]]) < 0
+                   for j in range(k + 1, n)))
+    return minors
+
+
 def _dense_route(section) -> TridiagonalForm:
     """The dense oracle on the multipliers of elimination_multiplier."""
     z = [elimination_multiplier(section, n) for n in range(section.n_rows - 1)]
@@ -195,7 +213,7 @@ def _random_factored_sections(draw):
 @st.composite
 def _symmetric_matrices(draw):
     """Small symmetric rational matrices, mostly zeros, so that leading
-    pivots vanish and the pivoted fallback runs."""
+    minors vanish, with rows that couple and rows that do not."""
     n = draw(st.integers(1, 6))
     value = st.sampled_from((0, 0, 0, 1, -1, 2, F(1, 2), F(-3, 2)))
     upper = {(i, j): draw(value) for i in range(n) for j in range(i, n)}
@@ -411,19 +429,42 @@ class TestLeadingMinors:
             symmetric=True)
         assert leading_minors(eye) == [F(1), F(1), F(1)]
 
-    def test_zero_pivot_fallback(self):
+    def test_coupled_zero_ends_the_list(self):
         m = ExactMatrix(((F(0), F(1)), (F(1), F(0))), symmetric=True)
-        assert leading_minors(m) == [F(0), F(-1)]
+        minors = _assert_minors_contract(m)
+        assert minors == [F(0)]
+        verdict, why = positivity._verdict_from_minors(minors, m.n_rows)
+        assert verdict is Verdict.NOT_POSITIVE
+        assert why == "leading minor 0 vanishes and its row couples to a later index"
+
+    def test_decoupled_zero_makes_the_later_minors_zero(self):
+        m = ExactMatrix(((F(1), F(1), F(0)), (F(1), F(1), F(0)), (F(0), F(0), F(5))),
+                        symmetric=True)
+        minors = _assert_minors_contract(m)
+        assert minors == [F(1), F(0), F(0)]
+        assert positivity._verdict_from_minors(minors, m.n_rows) == (
+            Verdict.INCONCLUSIVE, "leading minor 1 vanishes exactly")
+
+    def test_decoupled_zero_after_a_negative_minor(self):
+        # table:1,1,2,4,1: minor 2 of Q_3 vanishes and its row is zero
+        # beyond column 2, so the list runs to N with zeros.
+        g = FactorableGenerators(TableWeights((1, 1, 2, 4, 1)))
+        Q = finite_section(g, MatrixKind.Q, 3)
+        assert _assert_minors_contract(_dense(Q)) == [F(1, 2), F(-3, 16), F(0), F(0)]
+        report = certify(g, 3, CertifyOptions(minors_only=True))
+        assert report.verdict is Verdict.NOT_POSITIVE
+        assert report.determinant == 0
+        assert "leading minor 1 is negative" in report.notes
 
     @given(m=_symmetric_matrices())
     @settings(max_examples=200, deadline=None)
     def test_matches_pivoted_determinants_of_leading_blocks(self, m):
-        assert leading_minors(m) == _block_minors(m)
+        _assert_minors_contract(m)
 
     @given(m=_symmetric_matrices_over_many_denominators())
     @settings(max_examples=150, deadline=None)
     def test_matches_pivoted_determinants_over_many_denominators(self, m):
-        assert leading_minors(m) == _block_minors(m)
+        _assert_minors_contract(m)
 
     @pytest.mark.parametrize("spec, override", [
         ("linear:7/3,5/8", False), ("linear:9/4,1/8", False),
@@ -448,9 +489,9 @@ class TestLeadingMinors:
         rows = [list(r) for r in finite_section(odd_gens, MatrixKind.Q, 30).entries]
         rows[0][0] = F(0)
         m = ExactMatrix(tuple(map(tuple, rows)), symmetric=True)
-        minors = leading_minors(m)
-        assert minors[0] == 0 and minors[1] < 0
-        assert minors == _block_minors(m)
+        minors = _assert_minors_contract(m)
+        assert minors == [F(0)]
+        assert positivity._verdict_from_minors(minors, m.n_rows)[0] is Verdict.NOT_POSITIVE
 
     def test_requires_symmetric_section(self, odd_gens):
         with pytest.raises(ValueError, match="symmetric"):
@@ -698,6 +739,23 @@ class TestCertify:
         assert "column factor vanishes at index 3" in report.notes
         dense = _dense(finite_section(g, MatrixKind.Q, 3))
         assert report.determinant == leading_minors(dense)[-1]
+
+    def test_coupled_zero_minor_has_no_determinant(self, odd_gens, monkeypatch):
+        # q_00 = 0 with q_01 != 0: minor 0 vanishes and its row couples.
+        def section(g, kind, N):
+            Q = finite_section(g, kind, N)
+            return FactoredSection((F(0),) + Q.diag[1:], Q.row, Q.col)
+        monkeypatch.setattr(positivity, "finite_section", section)
+        minors = certify(odd_gens, 5, CertifyOptions(minors_only=True))
+        assert minors.verdict is Verdict.NOT_POSITIVE
+        assert minors.determinant is None
+        assert minors.to_json_dict()["determinant"] is None
+        assert ("leading minor 0 vanishes and its row couples to a later index"
+                in minors.notes.split("; "))
+        pivots = certify(odd_gens, 5, CertifyOptions(cross_check_minors=True))
+        assert pivots.verdict is Verdict.NOT_POSITIVE
+        assert pivots.determinant is not None
+        assert pivots.minors_agree is True
 
     def test_minors_route_names_the_checks_it_skips(self):
         g = FactorableGenerators(TableWeights((1, 2, 4, 3, 3)))
